@@ -194,7 +194,7 @@ class CrashImageGenerator:
                 continue  # execution ended before this ordering point
             crash_images.append(CrashImage(
                 image=PMImage(layout=image.layout,
-                              payload=bytearray(snap.image),
+                              payload=bytearray(snap.materialize()),
                               uuid=image.uuid),
                 fence_index=fence, probabilistic=False,
                 cost=cost_model.execution(
@@ -207,7 +207,7 @@ class CrashImageGenerator:
                 continue
             crash_images.append(CrashImage(
                 image=PMImage(layout=image.layout,
-                              payload=bytearray(snap.image),
+                              payload=bytearray(snap.materialize()),
                               uuid=image.uuid),
                 fence_index=-1, probabilistic=True,
                 cost=cost_model.execution(

@@ -18,7 +18,7 @@ build on it:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.core.pmfuzz import build_engine
 from repro.core.config import FuzzConfig, config_by_name
@@ -26,7 +26,7 @@ from repro.detect.pmemcheck import ViolationKind
 from repro.detect.report import BugReport, TestingTool
 from repro.fuzz.rng import DeterministicRandom
 from repro.fuzz.stats import FuzzStats
-from repro.workloads.base import RunOutcome
+from repro.workloads.base import Command, RunOutcome
 from repro.workloads.mapcli import parse_commands
 from repro.workloads.realbugs import RealBug, real_bugs_for
 from repro.workloads.registry import get_workload
@@ -185,11 +185,30 @@ class SyntheticDetection:
     confirmed: bool
 
 
+def _with_probes(witness_data: bytes) -> List[Command]:
+    """Witness commands plus read-back probes.
+
+    Persistent-value corruption surfaces as wrong scan/count output even
+    when no structural invariant breaks.
+    """
+    return parse_commands(witness_data) + [
+        Command("q"), Command("n"), Command("m"),
+    ]
+
+
+def _clean_report(workload_name: str, witness_image,
+                  commands: Sequence[Command]) -> BugReport:
+    """The battery's verdict on a witness with no injection active."""
+    return TestingTool(lambda: get_workload(workload_name)).test(
+        witness_image, commands)
+
+
 def confirm_synthetic_bug(
     workload_name: str,
     bug: SyntheticBug,
     witness_image,
     witness_data: bytes,
+    clean: Optional[BugReport] = None,
 ) -> bool:
     """Replay a witness test case with the injection active.
 
@@ -198,19 +217,17 @@ def confirm_synthetic_bug(
     something new), or when the injection visibly changes the program's
     output — corrupted values surface as wrong query results, the
     differential signal a test harness observes.
-    """
-    from repro.workloads.base import Command
 
-    clean_tool = TestingTool(lambda: get_workload(workload_name))
+    ``clean`` is the clean run's report for this witness, when the
+    caller already has it (it depends only on the witness, not on the
+    bug); without it the clean battery runs here.
+    """
+    commands = _with_probes(witness_data)
+    if clean is None:
+        clean = _clean_report(workload_name, witness_image, commands)
     injector = BugInjector([bug])
     buggy_tool = TestingTool(lambda: get_workload(workload_name),
                              injector=injector)
-    # Append read-back probes: persistent-value corruption surfaces as
-    # wrong scan/count output even when no structural invariant breaks.
-    commands = parse_commands(witness_data) + [
-        Command("q"), Command("n"), Command("m"),
-    ]
-    clean = clean_tool.test(witness_image, commands)
     buggy = buggy_tool.test(witness_image, commands)
     if bug.bug_id not in injector.triggered:
         return False
@@ -229,18 +246,25 @@ def evaluate_synthetic_bugs(
 
     A bug is *covered* when some generated test case reached its site;
     when ``confirm`` is set, each covered bug is additionally replayed
-    (via the site's witness test case) with the injection active.
+    (via the site's witness test case) with the injection active.  Bugs
+    often share a witness, so the clean battery runs once per distinct
+    witness and its report is reused for every bug replayed on it.
     """
     workload = get_workload(workload_name)
     detections: List[SyntheticDetection] = []
+    clean_reports: Dict[Tuple[str, bytes], BugReport] = {}
     for bug in workload.synthetic_bugs():
         covered = bug.site in stats.sites_hit
         confirmed = False
         if covered and confirm:
             for image_id, data, _ in stats.site_witness[bug.site]:
                 witness_image = storage.load(image_id)
-                if confirm_synthetic_bug(workload_name, bug,
-                                         witness_image, data):
+                clean = clean_reports.get((image_id, data))
+                if clean is None:
+                    clean = clean_reports[image_id, data] = _clean_report(
+                        workload_name, witness_image, _with_probes(data))
+                if confirm_synthetic_bug(workload_name, bug, witness_image,
+                                         data, clean=clean):
                     confirmed = True
                     break
         detections.append(SyntheticDetection(

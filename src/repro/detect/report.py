@@ -6,8 +6,9 @@ case (input commands + PM image) to the back-end testing tools.  The
 
 * execute the test case with tracing, feed the trace to Pmemcheck;
 * check the resulting normal image against the workload's oracle;
-* generate the test case's crash images (one per ordering point) and
-  feed each to the XFDetector-style cross-failure check.
+* harvest the test case's crash images (a sample of its ordering
+  points, all from one snapshot-planned replay) and feed each to the
+  XFDetector-style cross-failure check.
 
 The report separates crash-consistency findings from performance
 findings, matching the paper's bug taxonomy.
@@ -20,6 +21,8 @@ from typing import List, Optional, Sequence
 
 from repro.errors import CORRUPTION_ERRORS, ReproError
 from repro.instrument.context import ExecutionContext, push_context
+from repro.pmdk.pool import HEAP_BASE
+from repro.pmem.crash import SnapshotPlan
 from repro.pmem.image import PMImage
 from repro.detect.pmemcheck import Pmemcheck, Violation
 from repro.detect.xfdetector import CrashFinding, XFDetector
@@ -64,19 +67,13 @@ class BugReport:
 class TestingTool:
     """Runs the Pmemcheck + XFDetector battery on one test case."""
 
-
     __test__ = False  # not a pytest test class despite the name
 
     def __init__(self, workload_factory, max_crash_images: int = 16,
-                 injector=None, weak_states: bool = False):
+                 injector=None):
         self.workload_factory = workload_factory
         self.max_crash_images = max_crash_images
         self.injector = injector
-        #: Also judge crash states under cache-eviction semantics: any
-        #: subset of pending lines may have persisted.  Catches
-        #: reordering bugs that strict ordering-point snapshots mask
-        #: (e.g. a commit flag evicted before its payload).
-        self.weak_states = weak_states
 
     def test(self, image: PMImage, commands: Sequence[Command],
              with_crash_images: bool = True) -> BugReport:
@@ -85,10 +82,7 @@ class TestingTool:
         ctx = ExecutionContext(injector=self.injector)
         with push_context(ctx):
             result = workload.run(image, commands)
-        from repro.pmdk.pool import PmemObjPool  # for heap geometry only
-
-        heap_base = self._heap_base(image)
-        pmemcheck = Pmemcheck(heap_base)
+        pmemcheck = Pmemcheck(HEAP_BASE)
         report = BugReport(outcome=result.outcome,
                            sites_hit=frozenset(ctx.sites_hit),
                            outputs=list(result.outputs),
@@ -105,13 +99,6 @@ class TestingTool:
         return report
 
     # ------------------------------------------------------------------
-    def _heap_base(self, image: PMImage) -> int:
-        from repro.pmdk.pool import PmemObjPool
-        from repro.pmdk.tx import TransactionLog
-
-        # Pool geometry is static: metadata block + log region.
-        return 64 + TransactionLog.region_size()
-
     def _oracle(self, image: PMImage) -> List[str]:
         workload = self.workload_factory()
         try:
@@ -125,27 +112,32 @@ class TestingTool:
 
     def _cross_failure(self, image: PMImage, commands: Sequence[Command],
                        fence_count: int) -> List[CrashFinding]:
-        """Crash at a sample of ordering points; cross-check each image."""
+        """Crash at a sample of ordering points; cross-check each image.
+
+        Every sampled crash image is harvested from one replay of the
+        test case under a :class:`SnapshotPlan` — the mechanism
+        :mod:`repro.core.crashgen` uses — instead of one re-execution per
+        ordering point.  The replay is deterministic, so each capture is
+        the image a dedicated crash at that fence would leave.  Captures
+        are materialized one at a time, right before their check, so at
+        most one crash image is alive at once.
+        """
         if fence_count <= 0:
             return []
         stride = max(1, fence_count // self.max_crash_images)
-        fences = list(range(0, fence_count, stride))
+        plan = SnapshotPlan(fences=tuple(range(0, fence_count, stride)))
+        workload = self.workload_factory()
+        ctx = ExecutionContext(injector=self.injector, collect_trace=False)
+        with push_context(ctx):
+            result = workload.run(image, commands, snapshot_plan=plan)
         xfd = XFDetector(self.workload_factory, injector=self.injector)
         findings: List[CrashFinding] = []
-        for fence in fences:
-            workload = self.workload_factory()
-            ctx = ExecutionContext(injector=self.injector, collect_trace=False)
-            with push_context(ctx):
-                result = workload.run(image, commands, crash_at_fence=fence,
-                                      weak_states=self.weak_states)
-            if result.crash_image is None:
-                continue
-            finding = xfd.check_image(result.crash_image, fence_index=fence)
+        for snap in result.snapshots:
+            finding = xfd.check_image(
+                PMImage(layout=image.layout,
+                        payload=bytearray(snap.materialize()),
+                        uuid=image.uuid),
+                fence_index=snap.index)
             if finding.is_bug:
                 findings.append(finding)
-            for weak in result.weak_crash_images:
-                weak_finding = xfd.check_image(weak, fence_index=fence)
-                if weak_finding.is_bug:
-                    weak_finding.error = "(eviction state) " + weak_finding.error
-                    findings.append(weak_finding)
         return findings

@@ -94,7 +94,7 @@ class ExecResult:
     commands_run: int = 0
     trace: list = field(default_factory=list)
     error: str = ""
-    #: CrashSnapshot records harvested by a snapshot plan (single-pass
+    #: MediaSnapshot captures harvested by a snapshot plan (single-pass
     #: crash generation); empty unless ``run`` was given a plan.
     snapshots: list = field(default_factory=list)
 

@@ -56,7 +56,9 @@ def run_workload(
     cache-eviction semantics; with a ``snapshot_plan`` the persistence
     domain captures the strict crash image at every planned fence /
     store index (single-pass crash generation, see
-    ``RunResult.snapshots``).
+    ``RunResult.snapshots``).  The captures stay lazy: the caller
+    materializes each one when it needs the bytes, so a consumer that
+    checks one image at a time never holds them all.
 
     ``warm`` is an optional :class:`~repro.fuzz.warmcache.WarmContext`:
     when its lookup hits, the open/recovery/creation prefix is replaced
@@ -122,12 +124,5 @@ def run_workload(
             pool.domain.crash_at_fence = None
             pool.domain.crash_at_store = None
             if snapshot_plan is not None and snapshot_plan:
-                from repro.pmem.crash import CrashSnapshot
-
-                result.snapshots = [
-                    CrashSnapshot(kind=s.kind, index=s.index,
-                                  fences_done=s.fences_done,
-                                  image=s.materialize())
-                    for s in pool.domain.take_snapshots()
-                ]
+                result.snapshots = pool.domain.take_snapshots()
     return result

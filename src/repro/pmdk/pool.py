@@ -6,11 +6,12 @@ A pool wraps one PM image with:
 * the embedded undo log (:class:`~repro.pmdk.tx.TransactionLog`),
 * the persistent heap (:class:`~repro.pmdk.heap.PersistentHeap`).
 
-``PmemObjPool.open`` validates the image header — a randomly mutated
-image fails here, reproducing Figure 5a — and then runs transaction
-recovery, reproducing the automatic recovery path that the paper's
-real-world Bug 6 shows is *not* sufficient for programs built on
-low-level primitives.
+``PmemObjPool.open`` checks the layout name and the pool magic — an
+image without a pool in it fails here (randomly mutated image *files*
+already fail header validation when they are deserialized, reproducing
+Figure 5a) — and then runs transaction recovery, reproducing the
+automatic recovery path that the paper's real-world Bug 6 shows is
+*not* sufficient for programs built on low-level primitives.
 """
 
 from __future__ import annotations
@@ -38,6 +39,9 @@ _META_FREE_OFF = 24
 _META_SIZE = 64
 _LOG_OFF = _META_SIZE
 
+#: First heap offset: pool geometry is static (metadata block + undo log).
+HEAP_BASE = _LOG_OFF + TransactionLog.region_size()
+
 _POOL_MAGIC = 0x504D4F424A5F5631  # "PMOBJ_V1"
 
 #: Default pool payload size — small enough for fast fuzzing iterations,
@@ -55,10 +59,9 @@ class PmemObjPool:
         self.image = image
         self.domain = domain
         self.log = TransactionLog(domain, _LOG_OFF)
-        heap_base = _LOG_OFF + TransactionLog.region_size()
         self.heap = PersistentHeap(
             domain,
-            heap_base,
+            HEAP_BASE,
             meta_cursor_addr=_META_CURSOR_OFF,
             meta_free_addr=_META_FREE_OFF,
         )
@@ -109,12 +112,14 @@ class PmemObjPool:
                 exists for tests that need to inspect pre-recovery state).
 
         Raises:
-            InvalidImageError: bad magic/checksum/layout — the program
-                aborts before doing anything useful.
+            InvalidImageError: layout or pool-magic mismatch — the
+                program aborts before doing anything useful.  (Header
+                magic and checksum belong to serialized images; see
+                :meth:`PMImage.from_bytes`.)
         """
         image.validate(expected_layout=layout)
         working = image.copy()
-        domain = make_domain(len(working.payload), bytes(working.payload))
+        domain = make_domain(len(working.payload), working.payload)
         magic = int.from_bytes(domain.load(_META_MAGIC_OFF, 8), "little")
         if magic != _POOL_MAGIC:
             raise InvalidImageError(

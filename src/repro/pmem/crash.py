@@ -18,7 +18,7 @@ so detection remains reproducible.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, List, Sequence, Tuple
 
 from repro.pmem.persistence import CACHE_LINE, PersistenceDomain
@@ -39,26 +39,6 @@ class SnapshotPlan:
 
     def __bool__(self) -> bool:
         return bool(self.fences or self.stores)
-
-
-@dataclass(frozen=True)
-class CrashSnapshot:
-    """A materialized strict crash image harvested from a single pass.
-
-    Attributes:
-        kind: ``"fence"`` or ``"store"``.
-        index: the fence index / store index of the capture point.
-        fences_done: fences completed at capture time — exactly the fence
-            count a dedicated re-execution crashing at this point would
-            have reported, which the generator needs to charge the
-            virtual-time cost model identically.
-        image: the full media contents at the capture instant.
-    """
-
-    kind: str
-    index: int
-    fences_done: int
-    image: bytes = field(repr=False)
 
 
 class CrashPolicy(enum.Enum):

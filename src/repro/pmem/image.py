@@ -8,9 +8,11 @@ UUID, payload checksum policy) followed by the raw payload bytes that the
 Two paper requirements shape this module:
 
 * **Validity checking** — ``pmemobj_open`` on a corrupt file aborts
-  immediately.  :meth:`PMImage.validate` reproduces that: a randomly
+  immediately.  :meth:`PMImage.from_bytes` reproduces that: a randomly
   mutated image (AFL++ w/ ImgFuzz) almost always fails the magic or
   checksum test and the execution explores no useful path (Figure 5a).
+  An image already in memory was built by program logic, so opening it
+  only checks its layout name (:meth:`PMImage.validate`).
 * **Derandomized UUIDs** — PMDK assigns each pool a random UUID, which
   PMFuzz overrides with a constant so identical inputs produce identical
   images (Section 4.4).  Here the UUID is derived deterministically from
@@ -143,8 +145,20 @@ class PMImage:
         return image
 
     def validate(self, expected_layout: Optional[str] = None) -> None:
-        """Round-trip validation used by the pool-open path."""
-        PMImage.from_bytes(self.to_bytes(), expected_layout=expected_layout)
+        """Validation of an in-memory image, used by the pool-open path.
+
+        Magic, size and checksum belong to the serialized form: an
+        in-memory image serializes them from its own fields, so they
+        cannot disagree with it.  The layout name is the one check that
+        can fail here, and it fails with the same error
+        :meth:`from_bytes` raises.  Bytes from outside (a stored or
+        mutated image file) are validated in full by :meth:`from_bytes`.
+        """
+        if expected_layout is not None and self.layout != expected_layout:
+            raise InvalidImageError(
+                f"layout mismatch: image is {self.layout!r}, "
+                f"expected {expected_layout!r}"
+            )
 
     # ------------------------------------------------------------------
     # Identity

@@ -27,7 +27,7 @@ from repro.pmem.image import PMImage
 from repro.pmdk.pool import PmemObjPool
 
 if TYPE_CHECKING:
-    from repro.pmem.crash import CrashSnapshot, SnapshotPlan
+    from repro.pmem.crash import SnapshotPlan
     from repro.workloads.synthetic import SyntheticBug
 
 
@@ -75,9 +75,9 @@ class RunResult:
     commands_run: int = 0
     outputs: List[str] = field(default_factory=list)
     error: str = ""
-    #: Materialized strict crash images harvested by a snapshot plan
-    #: (single-pass crash generation); empty when no plan was armed.
-    snapshots: List["CrashSnapshot"] = field(default_factory=list)
+    #: Lazy MediaSnapshot captures harvested by a snapshot plan (single-
+    #: pass crash generation), in execution order; empty without a plan.
+    snapshots: list = field(default_factory=list)
 
 
 class Workload(abc.ABC):
@@ -221,8 +221,8 @@ class Workload(abc.ABC):
 
         With a ``snapshot_plan`` the persistence domain additionally
         captures the strict crash image at every planned fence / store
-        index during this single execution; the materialized images come
-        back in ``RunResult.snapshots`` (single-pass crash generation).
+        index during this single execution; the captures come back in
+        ``RunResult.snapshots`` (single-pass crash generation).
         The orchestration (open, arm, classify the outcome) lives in
         :func:`repro.fuzz.harness.run_workload` — deliberately outside
         the instrumented workloads package, so that fuzzer-configuration

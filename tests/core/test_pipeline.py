@@ -80,3 +80,51 @@ class TestMatchers:
         for bug in ALL_REAL_BUGS:
             # Must not raise, and an empty report never matches.
             assert report_detects_real_bug(empty, bug) is False
+
+
+class TestCleanReportReuse:
+    """``evaluate_synthetic_bugs`` runs the clean battery once per witness."""
+
+    def test_one_clean_battery_per_distinct_witness(self, monkeypatch):
+        from repro.detect.report import TestingTool
+
+        engine = build_engine("hashmap_atomic", config_by_name("pmfuzz"))
+        stats = engine.run(0.5)
+        bugs = get_workload("hashmap_atomic").synthetic_bugs()
+
+        # Reference: the public 4-argument call once per (bug, witness),
+        # each paying for its own clean battery.
+        expected = []
+        visited = set()
+        replays = 0
+        for bug in bugs:
+            confirmed = False
+            if bug.site in stats.sites_hit:
+                for image_id, data, _ in stats.site_witness[bug.site]:
+                    visited.add((image_id, data))
+                    replays += 1
+                    if confirm_synthetic_bug(
+                            "hashmap_atomic", bug,
+                            engine.storage.load(image_id), data):
+                        confirmed = True
+                        break
+            expected.append((bug.bug_id, bug.site in stats.sites_hit,
+                             confirmed))
+        # Bugs must share witnesses, or there would be nothing to reuse.
+        assert len(visited) < replays
+
+        clean_calls = []
+        original = TestingTool.test
+
+        def counting_test(self, image, commands, **kwargs):
+            if self.injector is None:
+                clean_calls.append(image)
+            return original(self, image, commands, **kwargs)
+
+        monkeypatch.setattr(TestingTool, "test", counting_test)
+        detections = evaluate_synthetic_bugs("hashmap_atomic", stats,
+                                             engine.storage)
+        assert len(clean_calls) == len(visited)
+        assert [(d.bug.bug_id, d.site_covered, d.confirmed)
+                for d in detections] == expected
+        assert any(confirmed for _, _, confirmed in expected)

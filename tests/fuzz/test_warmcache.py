@@ -198,8 +198,8 @@ class TestEligibility:
         w = warm.run(image, DATA, snapshot_plan=plan)
         c = cold.run(image, DATA, snapshot_plan=plan)
         assert snap(w) == snap(c)
-        assert [(s.kind, s.index, bytes(s.image)) for s in w.snapshots] \
-            == [(s.kind, s.index, bytes(s.image)) for s in c.snapshots]
+        assert [(s.kind, s.index, s.materialize()) for s in w.snapshots] \
+            == [(s.kind, s.index, s.materialize()) for s in c.snapshots]
 
 
 # ----------------------------------------------------------------------
