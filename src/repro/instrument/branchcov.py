@@ -88,7 +88,14 @@ class BranchCoverage:
         self._prev_loc = loc >> 1
 
     def _global_trace(self, frame, event: str, arg) -> Optional[Callable]:
-        if event != "call" or not self._instrumented(frame.f_code.co_filename):
+        # Called for every Python call in the process: a known file is
+        # one dict probe, and only a first sighting pays for the
+        # fragment match.
+        filename = frame.f_code.co_filename
+        ok = self._file_ok.get(filename)
+        if ok is None:
+            ok = self._instrumented(filename)
+        if not ok or event != "call":
             return None
         # Per-frame-entry line filter matching PEP 669 LINE semantics: an
         # event fires only when the line number *changes* within the

@@ -54,7 +54,12 @@ class ExecutionContext:
 
     def record_pm_op(self, site_label: str) -> int:
         """Record one PM operation at ``site_label``; returns its op ID."""
-        op_id = self.registry.site_id(site_label)
+        # Runs once per PM operation: look the label up inline and only
+        # call into the registry to register a label seen for the first
+        # time.
+        op_id = self.registry._by_label.get(site_label)
+        if op_id is None:
+            op_id = self.registry.site_id(site_label)
         self.counter_map.update(op_id)
         self.sites_hit.add(site_label)
         return op_id
@@ -98,11 +103,20 @@ def pm_call_site(depth: int = 2) -> str:
     """
     frame = sys._getframe(depth)
     key = (id(frame.f_code), frame.f_lineno)
-    label = _SITE_CACHE.get(key)
-    if label is None:
-        filename = frame.f_code.co_filename
-        # Trailing two path components keep labels stable and readable.
-        parts = filename.replace("\\", "/").rsplit("/", 2)
-        label = f"{'/'.join(parts[-2:])}:{frame.f_lineno}"
-        _SITE_CACHE[key] = label
+    return _SITE_CACHE.get(key) or site_label(frame, key)
+
+
+def site_label(frame, key: tuple) -> str:
+    """Build, cache and return the label of ``frame``'s current line.
+
+    The cache-miss half of :func:`pm_call_site`.  Hot callers (the typed
+    field accessors in :mod:`repro.pmdk.layout`) probe ``_SITE_CACHE``
+    with the same ``(id(code), lineno)`` key inline and call this only
+    on a miss, so a cached label costs no extra frame.
+    """
+    filename = frame.f_code.co_filename
+    # Trailing two path components keep labels stable and readable.
+    parts = filename.replace("\\", "/").rsplit("/", 2)
+    label = f"{'/'.join(parts[-2:])}:{frame.f_lineno}"
+    _SITE_CACHE[key] = label
     return label

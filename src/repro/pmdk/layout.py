@@ -24,10 +24,11 @@ Example::
 from __future__ import annotations
 
 import struct as _struct
+from sys import _getframe
 from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.errors import PMemError
-from repro.instrument.context import pm_call_site
+from repro.instrument.context import _SITE_CACHE, pm_call_site, site_label
 
 
 class FieldType:
@@ -35,13 +36,9 @@ class FieldType:
 
     def __init__(self, fmt: str) -> None:
         self.fmt = "<" + fmt
-        self.size = _struct.calcsize(self.fmt)
-
-    def pack(self, value: Any) -> bytes:
-        return _struct.pack(self.fmt, value)
-
-    def unpack(self, data: bytes) -> Any:
-        return _struct.unpack(self.fmt, data)[0]
+        #: Precompiled codec, called directly by the field accessors.
+        self.codec = _struct.Struct(self.fmt)
+        self.size = self.codec.size
 
 
 #: Unsigned / signed scalar field types.
@@ -62,14 +59,12 @@ class Bytes:
         if size <= 0:
             raise PMemError(f"Bytes field size must be positive, got {size}")
         self.size = size
+        self.codec = _struct.Struct(f"{size}s")
 
     def pack(self, value: bytes) -> bytes:
         if len(value) > self.size:
             raise PMemError(f"value of {len(value)} bytes exceeds field of {self.size}")
         return bytes(value).ljust(self.size, b"\0")
-
-    def unpack(self, data: bytes) -> bytes:
-        return bytes(data)
 
 
 class Array:
@@ -83,62 +78,163 @@ class Array:
         self.size = element.size * count
 
 
+# ----------------------------------------------------------------------
+# Field descriptors
+#
+# Every typed access is a PM operation, so these accessors are the
+# innermost loop of every execution.  Each one resolves the caller's
+# site label with an inline ``_SITE_CACHE`` probe (same ``file:line``
+# label and cache as :func:`pm_call_site`) and goes straight to
+# ``pool.read``/``pool.write``: a scalar load or store is the accessor
+# plus the pool, context, counter-map and domain frames, nothing else.
+# ----------------------------------------------------------------------
+class _Field:
+    """Data descriptor for one scalar or :class:`Bytes` field."""
+
+    __slots__ = ("offset", "size", "pack", "unpack")
+
+    def __init__(self, offset: int, ftype: Any) -> None:
+        self.offset = offset
+        self.size = ftype.size
+        # Bytes.pack rejects oversized values before padding; scalar
+        # fields pack straight through the C codec.
+        self.pack = ftype.pack if isinstance(ftype, Bytes) else ftype.codec.pack
+        self.unpack = ftype.codec.unpack
+
+    def __get__(self, view: Any, owner: Any = None) -> Any:
+        if view is None:
+            return self
+        site = view._site
+        if not site:
+            frame = _getframe(1)
+            key = (id(frame.f_code), frame.f_lineno)
+            site = _SITE_CACHE.get(key) or site_label(frame, key)
+        return self.unpack(
+            view._pool.read(view._offset + self.offset, self.size, site))[0]
+
+    def __set__(self, view: Any, value: Any) -> None:
+        site = view._site
+        if not site:
+            frame = _getframe(1)
+            key = (id(frame.f_code), frame.f_lineno)
+            site = _SITE_CACHE.get(key) or site_label(frame, key)
+        view._pool.write(view._offset + self.offset, self.pack(value), site)
+
+
+class _ArrayField:
+    """Data descriptor for an :class:`Array` field: yields a bound array."""
+
+    __slots__ = ("name", "offset", "count", "stride", "pack_item",
+                 "unpack_item")
+
+    def __init__(self, name: str, offset: int, spec: Array) -> None:
+        self.name = name
+        self.offset = offset
+        self.count = spec.count
+        self.stride = spec.element.size
+        self.pack_item = spec.element.codec.pack
+        self.unpack_item = spec.element.codec.unpack
+
+    def __get__(self, view: Any, owner: Any = None) -> Any:
+        if view is None:
+            return self
+        return _BoundArray(view._pool, view._offset + self.offset, self,
+                           view._site)
+
+    def __set__(self, view: Any, value: Any) -> None:
+        raise PMemError(
+            f"cannot assign whole array field {self.name!r}; index it")
+
+
 class _BoundArray:
     """Accessor for an Array field bound to (pool, base offset)."""
 
-    __slots__ = ("_pool", "_base", "_spec", "_site")
+    __slots__ = ("_pool", "_base", "_field", "_site")
 
-    def __init__(self, pool: Any, base: int, spec: Array, site: str) -> None:
+    def __init__(self, pool: Any, base: int, field: _ArrayField,
+                 site: str) -> None:
         self._pool = pool
         self._base = base
-        self._spec = spec
+        self._field = field
         self._site = site
 
-    def _offset_of(self, index: int) -> int:
-        if not 0 <= index < self._spec.count:
-            raise IndexError(
-                f"array index {index} out of range [0, {self._spec.count})"
-            )
-        return self._base + index * self._spec.element.size
-
     def __len__(self) -> int:
-        return self._spec.count
+        return self._field.count
 
     def __getitem__(self, index: int) -> Any:
-        off = self._offset_of(index)
-        site = self._site or pm_call_site(depth=2)
-        raw = self._pool.read(off, self._spec.element.size, site=site)
-        return self._spec.element.unpack(raw)
+        field = self._field
+        if not 0 <= index < field.count:
+            raise IndexError(
+                f"array index {index} out of range [0, {field.count})")
+        site = self._site
+        if not site:
+            frame = _getframe(1)
+            key = (id(frame.f_code), frame.f_lineno)
+            site = _SITE_CACHE.get(key) or site_label(frame, key)
+        stride = field.stride
+        return field.unpack_item(
+            self._pool.read(self._base + index * stride, stride, site))[0]
 
     def __setitem__(self, index: int, value: Any) -> None:
-        off = self._offset_of(index)
-        site = self._site or pm_call_site(depth=2)
-        self._pool.write(off, self._spec.element.pack(value), site=site)
+        field = self._field
+        if not 0 <= index < field.count:
+            raise IndexError(
+                f"array index {index} out of range [0, {field.count})")
+        site = self._site
+        if not site:
+            frame = _getframe(1)
+            key = (id(frame.f_code), frame.f_lineno)
+            site = _SITE_CACHE.get(key) or site_label(frame, key)
+        self._pool.write(self._base + index * field.stride,
+                         field.pack_item(value), site)
 
     def __iter__(self):
-        for i in range(self._spec.count):
-            yield self[i]
+        # The label is the caller of iter(), resolved once: element
+        # reads made from inside the generator would otherwise be
+        # attributed to this module.
+        return self._elements(self._site or pm_call_site())
 
     def tolist(self) -> List[Any]:
         """Read the whole array as a Python list."""
-        return list(self)
+        return list(self._elements(self._site or pm_call_site()))
+
+    def _elements(self, site: str):
+        field = self._field
+        stride = field.stride
+        for i in range(field.count):
+            yield field.unpack_item(
+                self._pool.read(self._base + i * stride, stride, site))[0]
 
 
 class PStructMeta(type):
-    """Metaclass computing field offsets and total struct size."""
+    """Metaclass computing field offsets and installing field descriptors.
+
+    Every subclass gets ``__slots__ = ()`` (unless it declares its own),
+    so instances carry only the pool, offset and site slots of
+    :class:`PStruct`: assigning a name that is not a field raises
+    ``AttributeError`` instead of creating volatile state.
+    """
 
     def __new__(mcs, name: str, bases: Tuple[type, ...], namespace: Dict[str, Any]):
-        cls = super().__new__(mcs, name, bases, namespace)
+        namespace.setdefault("__slots__", ())
         fields: Sequence[Tuple[str, Any]] = namespace.get("_fields_", ())
         offsets: Dict[str, Tuple[int, Any]] = {}
         cursor = 0
-        seen = set()
         for fname, ftype in fields:
-            if fname in seen:
+            if fname in offsets:
                 raise PMemError(f"duplicate field {fname!r} in {name}")
-            seen.add(fname)
+            # A class-level descriptor would silently replace a method,
+            # property or slot of the same name.
+            if fname in namespace or any(hasattr(b, fname) for b in bases):
+                raise PMemError(
+                    f"field {fname!r} in {name} would shadow the "
+                    f"attribute of the same name")
             offsets[fname] = (cursor, ftype)
+            namespace[fname] = (_ArrayField(fname, cursor, ftype)
+                                if isinstance(ftype, Array)
+                                else _Field(cursor, ftype))
             cursor += ftype.size
+        cls = super().__new__(mcs, name, bases, namespace)
         cls._offsets_ = offsets
         cls._size_ = cursor
         return cls
@@ -148,7 +244,7 @@ class PStruct(metaclass=PStructMeta):
     """Base class for persistent struct layouts.
 
     Instances are *views*: they hold a pool and a byte offset, and every
-    attribute access is a traced PM load or store.  Use
+    field access is a traced PM load or store.  Use
     ``pool.typed(oid, Struct)`` to construct one (the D_RW analogue).
     """
 
@@ -159,9 +255,9 @@ class PStruct(metaclass=PStructMeta):
     __slots__ = ("_pool", "_offset", "_site")
 
     def __init__(self, pool: Any, offset: int, site: str = "") -> None:
-        object.__setattr__(self, "_pool", pool)
-        object.__setattr__(self, "_offset", offset)
-        object.__setattr__(self, "_site", site)
+        self._pool = pool
+        self._offset = offset
+        self._site = site
 
     @property
     def offset(self) -> int:
@@ -182,28 +278,6 @@ class PStruct(metaclass=PStructMeta):
         """Absolute pool offset of field ``name`` in this instance."""
         return self._offset + self.field_offset(name)
 
-    def __getattr__(self, name: str) -> Any:
-        try:
-            off, ftype = type(self)._offsets_[name]
-        except KeyError:
-            raise AttributeError(name) from None
-        addr = self._offset + off
-        if isinstance(ftype, Array):
-            return _BoundArray(self._pool, addr, ftype, self._site)
-        site = self._site or pm_call_site(depth=2)
-        raw = self._pool.read(addr, ftype.size, site=site)
-        return ftype.unpack(raw)
-
-    def __setattr__(self, name: str, value: Any) -> None:
-        try:
-            off, ftype = type(self)._offsets_[name]
-        except KeyError:
-            raise AttributeError(f"{type(self).__name__} has no field {name!r}")
-        if isinstance(ftype, Array):
-            raise PMemError(f"cannot assign whole array field {name!r}; index it")
-        site = self._site or pm_call_site(depth=2)
-        self._pool.write(self._offset + off, ftype.pack(value), site=site)
-
     def __repr__(self) -> str:
         return f"<{type(self).__name__} @0x{self._offset:x}>"
 
@@ -216,11 +290,12 @@ def store_field(view: PStruct, field: str, value: Any, site: str) -> None:
     ``WRONG_VALUE`` bug keys on, and it keeps the site stable across
     source-line drift.
     """
-    off, ftype = type(view)._offsets_[field]
-    view._pool.write(view._offset + off, ftype.pack(value), site=site)
+    desc = type(view).__dict__[field]
+    view._pool.write(view._offset + desc.offset, desc.pack(value), site=site)
 
 
 def load_field(view: PStruct, field: str, site: str) -> Any:
     """Load a struct field under an explicit site label."""
-    off, ftype = type(view)._offsets_[field]
-    return ftype.unpack(view._pool.read(view._offset + off, ftype.size, site=site))
+    desc = type(view).__dict__[field]
+    return desc.unpack(
+        view._pool.read(view._offset + desc.offset, desc.size, site=site))[0]

@@ -16,38 +16,37 @@ synthetic bugs.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Any, Optional, Tuple
 
-from repro.instrument.context import current_context, pm_call_site
+from repro.instrument.context import _STACK, pm_call_site
 from repro.pmem.persistence import PersistenceDomain
 
 
-def _track(site: Optional[str]) -> str:
-    """Resolve the call-site label and record the PM operation."""
+def _track(site: Optional[str]) -> Tuple[str, Any]:
+    """Resolve the call-site label and record the PM operation.
+
+    Returns ``(label, injector)``, the injector being the active
+    context's (None outside a context).
+    """
     label = site if site is not None else pm_call_site(depth=3)
-    ctx = current_context()
-    if ctx is not None:
+    if _STACK:
+        ctx = _STACK[-1]
         ctx.record_pm_op(label)
-    return label
-
-
-def _injector():
-    ctx = current_context()
-    return getattr(ctx, "injector", None) if ctx is not None else None
+        return label, ctx.injector
+    return label, None
 
 
 def pmem_read(domain: PersistenceDomain, addr: int, size: int,
               site: Optional[str] = None) -> bytes:
     """Traced PM load."""
-    label = _track(site)
+    label, _ = _track(site)
     return domain.load(addr, size, site=label)
 
 
 def pmem_write(domain: PersistenceDomain, addr: int, data: bytes,
                site: Optional[str] = None) -> None:
     """Traced PM store (volatile until flushed + fenced)."""
-    label = _track(site)
-    inj = _injector()
+    label, inj = _track(site)
     if inj is not None:
         data = inj.corrupt_store(label, addr, data)
     domain.store(addr, data, site=label)
@@ -56,8 +55,7 @@ def pmem_write(domain: PersistenceDomain, addr: int, data: bytes,
 def pmem_flush(domain: PersistenceDomain, addr: int, size: int,
                site: Optional[str] = None) -> None:
     """CLWB analogue: queue cache lines for persistence."""
-    label = _track(site)
-    inj = _injector()
+    label, inj = _track(site)
     if inj is not None and inj.skip_flush(label):
         return
     domain.flush(addr, size, site=label)
@@ -65,8 +63,7 @@ def pmem_flush(domain: PersistenceDomain, addr: int, size: int,
 
 def pmem_drain(domain: PersistenceDomain, site: Optional[str] = None) -> None:
     """SFENCE analogue: order all flushed lines into the media."""
-    label = _track(site)
-    inj = _injector()
+    label, inj = _track(site)
     if inj is not None and inj.skip_fence(label):
         return
     domain.drain(site=label)
@@ -80,8 +77,7 @@ def pmem_persist(domain: PersistenceDomain, addr: int, size: int,
     fence still executes, so the target lines simply stay dirty — the
     exact failure mode of a forgotten ``CLWB``.
     """
-    label = _track(site)
-    inj = _injector()
+    label, inj = _track(site)
     if inj is None or not inj.skip_flush(label):
         domain.flush(addr, size, site=label)
     if inj is not None and inj.skip_fence(label):
@@ -92,8 +88,7 @@ def pmem_persist(domain: PersistenceDomain, addr: int, size: int,
 def pmem_memcpy_persist(domain: PersistenceDomain, addr: int, data: bytes,
                         site: Optional[str] = None) -> None:
     """``pmem_memcpy_persist``: store + flush + drain."""
-    label = _track(site)
-    inj = _injector()
+    label, inj = _track(site)
     if inj is not None:
         data = inj.corrupt_store(label, addr, data)
     domain.store(addr, data, site=label)
@@ -108,9 +103,8 @@ def pmem_memcpy_persist(domain: PersistenceDomain, addr: int, data: bytes,
 def pmem_memcpy_nodrain(domain: PersistenceDomain, addr: int, data: bytes,
                         site: Optional[str] = None) -> None:
     """``pmem_memcpy_nodrain``: store + flush, no fence."""
-    label = _track(site)
+    label, inj = _track(site)
     domain.store(addr, data, site=label)
-    inj = _injector()
     if inj is not None and inj.skip_flush(label):
         return
     domain.flush(addr, len(data), site=label)
@@ -119,9 +113,8 @@ def pmem_memcpy_nodrain(domain: PersistenceDomain, addr: int, data: bytes,
 def pmem_memset_nodrain(domain: PersistenceDomain, addr: int, value: int,
                         size: int, site: Optional[str] = None) -> None:
     """``pmem_memset_nodrain``: memset + flush, no fence (paper Bug 7)."""
-    label = _track(site)
+    label, inj = _track(site)
     domain.store(addr, bytes([value & 0xFF]) * size, site=label)
-    inj = _injector()
     if inj is not None and inj.skip_flush(label):
         return
     domain.flush(addr, size, site=label)
@@ -130,9 +123,8 @@ def pmem_memset_nodrain(domain: PersistenceDomain, addr: int, value: int,
 def pmem_memset_persist(domain: PersistenceDomain, addr: int, value: int,
                         size: int, site: Optional[str] = None) -> None:
     """``pmem_memset_persist``: memset + flush + drain."""
-    label = _track(site)
+    label, inj = _track(site)
     domain.store(addr, bytes([value & 0xFF]) * size, site=label)
-    inj = _injector()
     if inj is None or not inj.skip_flush(label):
         domain.flush(addr, size, site=label)
     if inj is not None and inj.skip_fence(label):

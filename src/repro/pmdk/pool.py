@@ -20,7 +20,7 @@ from typing import Any, Optional, Type
 
 from repro.errors import InvalidImageError, SegmentationFault
 from repro.execcore import make_domain
-from repro.instrument.context import current_context, pm_call_site
+from repro.instrument.context import _STACK, current_context, pm_call_site
 from repro.pmem.image import PMImage
 from repro.pmem.persistence import PersistenceDomain, TraceEventKind
 from repro.pmdk import libpmem
@@ -162,17 +162,21 @@ class PmemObjPool:
         operation, which is what makes the statement a *PM node* in the
         paper's PM-path definition (Section 3.3).
         """
-        self._check(offset, size)
-        ctx = current_context()
-        if ctx is not None and site:
-            ctx.record_pm_op(site)
+        # Checks and context lookup are inline: this runs once per field
+        # access.
+        if offset == OID_NULL or offset < 0 or offset + size > self.domain.size:
+            raise self._fault(offset, size)
+        if _STACK and site:
+            _STACK[-1].record_pm_op(site)
         return self.domain.load(offset, size, site=site)
 
     def write(self, offset: int, data: bytes, site: str = "") -> None:
         """Traced PM store with NULL/bounds checking (a PM node, see read)."""
-        self._check(offset, len(data))
-        ctx = current_context()
-        if ctx is not None:
+        if (offset == OID_NULL or offset < 0
+                or offset + len(data) > self.domain.size):
+            raise self._fault(offset, len(data))
+        if _STACK:
+            ctx = _STACK[-1]
             if site:
                 ctx.record_pm_op(site)
             inj = ctx.injector
@@ -180,14 +184,14 @@ class PmemObjPool:
                 data = inj.corrupt_store(site, offset, data)
         self.domain.store(offset, data, site=site)
 
-    def _check(self, offset: int, size: int) -> None:
+    def _fault(self, offset: int, size: int) -> SegmentationFault:
+        """The fault for a NULL or out-of-bounds access."""
         if offset == OID_NULL:
-            raise SegmentationFault("NULL persistent pointer dereference")
-        if offset < 0 or offset + size > self.domain.size:
-            raise SegmentationFault(
-                f"access [{offset}, {offset + size}) outside pool of "
-                f"size {self.domain.size}"
-            )
+            return SegmentationFault("NULL persistent pointer dereference")
+        return SegmentationFault(
+            f"access [{offset}, {offset + size}) outside pool of "
+            f"size {self.domain.size}"
+        )
 
     # ------------------------------------------------------------------
     # Object access (D_RO / D_RW analogues)

@@ -28,7 +28,7 @@ import enum
 from typing import Any, List, Optional, Tuple, Type
 
 from repro.errors import TransactionAborted, TransactionError
-from repro.instrument.context import current_context, pm_call_site
+from repro.instrument.context import _STACK, current_context, pm_call_site
 from repro.pmem.persistence import TraceEventKind
 from repro.pmdk.heap import PersistentHeap
 from repro.pmdk.rangetree import RangeTree
@@ -276,7 +276,7 @@ class Transaction:
         label = site if site is not None else pm_call_site(depth=2)
         self._record(label)
         self._require_active()
-        inj = getattr(current_context(), "injector", None) if current_context() else None
+        inj = _STACK[-1].injector if _STACK else None
         if inj is not None and inj.skip_tx_add(label):
             return
         if self.ranges.covers(offset, size):
@@ -351,9 +351,8 @@ class Transaction:
 
     @staticmethod
     def _record(label: str) -> None:
-        ctx = current_context()
-        if ctx is not None:
-            ctx.record_pm_op(label)
+        if _STACK:
+            _STACK[-1].record_pm_op(label)
 
 
 def rollback_log(pool: Any, site: str = "tx:rollback") -> None:

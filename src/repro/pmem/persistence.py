@@ -308,22 +308,34 @@ class PersistenceDomain:
     # ------------------------------------------------------------------
     # Data-path operations
     # ------------------------------------------------------------------
+    # load/store/flush/drain run once per PM operation, so they check the
+    # range inline and call :meth:`emit` only when an observer is
+    # registered; otherwise they advance ``_seq`` by the number of events
+    # they would have emitted, which keeps sequence numbers identical.
     def _check_range(self, addr: int, size: int) -> None:
         if addr < 0 or size < 0 or addr + size > self.size:
-            raise PMemError(
-                f"access [{addr}, {addr + size}) outside domain of size {self.size}"
-            )
+            raise self._range_error(addr, size)
+
+    def _range_error(self, addr: int, size: int) -> PMemError:
+        return PMemError(
+            f"access [{addr}, {addr + size}) outside domain of size {self.size}"
+        )
 
     def load(self, addr: int, size: int, site: str = "") -> bytes:
         """Read ``size`` bytes from the volatile view (a PM read)."""
-        self._check_range(addr, size)
-        self.emit(TraceEventKind.LOAD, addr, size, site)
+        if addr < 0 or size < 0 or addr + size > self.size:
+            raise self._range_error(addr, size)
+        if self._observers:
+            self.emit(TraceEventKind.LOAD, addr, size, site)
+        else:
+            self._seq += 1
         return bytes(self._volatile[addr : addr + size])
 
     def store(self, addr: int, data: bytes, site: str = "") -> None:
         """Write ``data`` at ``addr`` (a PM store; volatile until persisted)."""
         size = len(data)
-        self._check_range(addr, size)
+        if addr < 0 or addr + size > self.size:
+            raise self._range_error(addr, size)
         self._volatile[addr : addr + size] = data
         if size:
             lines = self._lines
@@ -336,7 +348,10 @@ class PersistenceDomain:
                     flushed.discard(line)
         store_index = self._store_count
         self._store_count += 1
-        self.emit(TraceEventKind.STORE, addr, size, site)
+        if self._observers:
+            self.emit(TraceEventKind.STORE, addr, size, site)
+        else:
+            self._seq += 1
         if store_index in self._snap_stores:
             self._snapshots.append(MediaSnapshot(
                 "store", store_index, self._fence_count, self._media))
@@ -352,7 +367,8 @@ class PersistenceDomain:
         ``FLUSH_REDUNDANT`` annotation so the Pmemcheck-like detector can
         report it as a performance bug (paper Bug 7).
         """
-        self._check_range(addr, size)
+        if addr < 0 or size < 0 or addr + size > self.size:
+            raise self._range_error(addr, size)
         redundant = True
         if size:
             lines = self._lines
@@ -364,9 +380,12 @@ class PersistenceDomain:
                     lines[line] = LineState.FLUSHED
                     flushed.add(line)
                     redundant = False
-        self.emit(TraceEventKind.FLUSH, addr, size, site)
-        if redundant:
-            self.emit(TraceEventKind.FLUSH_REDUNDANT, addr, size, site)
+        if self._observers:
+            self.emit(TraceEventKind.FLUSH, addr, size, site)
+            if redundant:
+                self.emit(TraceEventKind.FLUSH_REDUNDANT, addr, size, site)
+        else:
+            self._seq += 2 if redundant else 1
 
     def drain(self, site: Optional[str] = None) -> None:
         """Order all flushed lines into the media (SFENCE).
@@ -400,7 +419,10 @@ class PersistenceDomain:
             flushed.clear()
         fence_index = self._fence_count
         self._fence_count += 1
-        self.emit(TraceEventKind.FENCE, 0, 0, site or "")
+        if self._observers:
+            self.emit(TraceEventKind.FENCE, 0, 0, site or "")
+        else:
+            self._seq += 1
         if fence_index in self._snap_fences:
             self._snapshots.append(MediaSnapshot(
                 "fence", fence_index, fence_index + 1, self._media))

@@ -69,7 +69,8 @@ class VectorPersistenceDomain(PersistenceDomain):
     # ------------------------------------------------------------------
     def store(self, addr: int, data: bytes, site: str = "") -> None:
         size = len(data)
-        self._check_range(addr, size)
+        if addr < 0 or addr + size > self.size:
+            raise self._range_error(addr, size)
         self._volatile[addr: addr + size] = data
         if size:
             first = addr // CACHE_LINE
@@ -84,7 +85,10 @@ class VectorPersistenceDomain(PersistenceDomain):
                     self._states[first: last + 1] = bytes([_DIRTY]) * n
         store_index = self._store_count
         self._store_count += 1
-        self.emit(TraceEventKind.STORE, addr, size, site)
+        if self._observers:
+            self.emit(TraceEventKind.STORE, addr, size, site)
+        else:
+            self._seq += 1
         if store_index in self._snap_stores:
             self._snapshots.append(MediaSnapshot(
                 "store", store_index, self._fence_count, self._media))
@@ -94,7 +98,8 @@ class VectorPersistenceDomain(PersistenceDomain):
             raise SimulatedCrash(store_index, kind="store")
 
     def flush(self, addr: int, size: int, site: str = "") -> None:
-        self._check_range(addr, size)
+        if addr < 0 or size < 0 or addr + size > self.size:
+            raise self._range_error(addr, size)
         redundant = True
         if size:
             first = addr // CACHE_LINE
@@ -113,9 +118,12 @@ class VectorPersistenceDomain(PersistenceDomain):
                     self._flush_spans.append((first, last))
                     self._span_lines += last - first + 1
                     redundant = False
-        self.emit(TraceEventKind.FLUSH, addr, size, site)
-        if redundant:
-            self.emit(TraceEventKind.FLUSH_REDUNDANT, addr, size, site)
+        if self._observers:
+            self.emit(TraceEventKind.FLUSH, addr, size, site)
+            if redundant:
+                self.emit(TraceEventKind.FLUSH_REDUNDANT, addr, size, site)
+        else:
+            self._seq += 2 if redundant else 1
 
     #: Fence epochs at or under this many span lines take the scalar-
     #: style per-line path; bigger ones go through the numpy bulk scan.
@@ -158,7 +166,10 @@ class VectorPersistenceDomain(PersistenceDomain):
             self._span_lines = 0
         fence_index = self._fence_count
         self._fence_count += 1
-        self.emit(TraceEventKind.FENCE, 0, 0, site or "")
+        if self._observers:
+            self.emit(TraceEventKind.FENCE, 0, 0, site or "")
+        else:
+            self._seq += 1
         if fence_index in self._snap_fences:
             self._snapshots.append(MediaSnapshot(
                 "fence", fence_index, fence_index + 1, self._media))

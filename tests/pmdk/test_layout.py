@@ -1,12 +1,16 @@
 """Tests for the typed persistent-struct layer."""
 
+import sys
+
 import pytest
 
-from repro.errors import PMemError
+from repro.errors import PMemError, SegmentationFault
+from repro.instrument.context import ExecutionContext, push_context
 from repro.pmdk.layout import (
     Array, Bytes, OID, PStruct, U8, U16, U32, U64, load_field, store_field,
 )
 from repro.pmdk.pool import PmemObjPool
+from repro.workloads.synthetic import BugInjector, BugKind, SyntheticBug
 
 
 class Mixed(PStruct):
@@ -46,6 +50,24 @@ class TestLayoutComputation:
             _fields_ = []
         assert Empty._size_ == 0
 
+    @pytest.mark.parametrize("name", [
+        "offset", "field_addr", "field_offset", "field_size",
+        "_pool", "_offset", "_site",
+    ])
+    def test_field_shadowing_a_pstruct_attribute_rejected(self, name):
+        # Fields are class-level descriptors: one named like a PStruct
+        # attribute would silently replace it.
+        with pytest.raises(PMemError, match="shadow"):
+            type("Shadow", (PStruct,), {"_fields_": [(name, U64)]})
+
+    def test_field_shadowing_own_method_rejected(self):
+        with pytest.raises(PMemError, match="shadow"):
+            class Clash(PStruct):
+                _fields_ = [("size", U64)]
+
+                def size(self):
+                    return 0
+
 
 class TestFieldAccess:
     @pytest.fixture
@@ -79,8 +101,10 @@ class TestFieldAccess:
         assert list(view.arr) == [0, 7, 0]
 
     def test_whole_array_assignment_rejected(self, view):
-        with pytest.raises(PMemError):
+        seq = view._pool.domain.seq
+        with pytest.raises(PMemError, match="whole array field 'arr'"):
             view.arr = [1, 2, 3]
+        assert view._pool.domain.seq == seq  # nothing was stored
 
     def test_bytes_field_padded(self, view):
         view.raw = b"hi"
@@ -95,8 +119,14 @@ class TestFieldAccess:
             view.nope
 
     def test_unknown_field_set(self, view):
+        seq = view._pool.domain.seq
         with pytest.raises(AttributeError):
             view.nope = 1
+        # No volatile per-view state was created and no PM store issued.
+        assert not hasattr(view, "__dict__")
+        with pytest.raises(AttributeError):
+            view.nope
+        assert view._pool.domain.seq == seq
 
     def test_field_addr(self, view):
         assert view.field_addr("d") == view.offset + 7
@@ -117,3 +147,63 @@ class TestFieldAccess:
 
     def test_repr_contains_offset(self, view):
         assert f"0x{view.offset:x}" in repr(view)
+
+
+class TestAccessFaults:
+    """Descriptor accesses keep the pool's NULL/bounds checks."""
+
+    NULL = "NULL persistent pointer dereference"
+
+    def test_null_field_access(self, pool):
+        view = Mixed(pool, 0)  # bypasses pool.typed's OID check
+        with pytest.raises(SegmentationFault, match=f"^{self.NULL}$"):
+            view.a
+        with pytest.raises(SegmentationFault, match=f"^{self.NULL}$"):
+            view.a = 1
+
+    def test_out_of_bounds_field_access(self, pool):
+        size = pool.domain.size
+        view = Mixed(pool, size - 4)
+        msg = (rf"^access \[{size + 3}, {size + 11}\) outside pool of "
+               rf"size {size}$")
+        with pytest.raises(SegmentationFault, match=msg):
+            view.d
+        with pytest.raises(SegmentationFault, match=msg):
+            view.d = 1
+
+    def test_out_of_bounds_array_element(self, pool):
+        size = pool.domain.size
+        view = Mixed(pool, size - 24)
+        msg = (rf"^access \[{size + 7}, {size + 15}\) outside pool of "
+               rf"size {size}$")
+        with pytest.raises(SegmentationFault, match=msg):
+            view.arr[2]
+        with pytest.raises(SegmentationFault, match=msg):
+            view.arr[2] = 1
+
+
+class TestInstrumentedAccess:
+    @pytest.fixture
+    def view(self, pool):
+        return pool.typed(pool.zalloc(Mixed._size_), Mixed)
+
+    def test_array_iteration_records_the_callers_line(self, view):
+        ctx = ExecutionContext()
+        with push_context(ctx):
+            line = sys._getframe().f_lineno + 1
+            values = list(view.arr)
+            listed = view.arr.tolist()
+        assert values == listed == [0, 0, 0]
+        assert ctx.sites_hit == {f"pmdk/test_layout.py:{line}",
+                                 f"pmdk/test_layout.py:{line + 1}"}
+
+    def test_descriptor_writes_apply_corrupt_store(self, pool):
+        bug = SyntheticBug("b1", "victim", BugKind.WRONG_VALUE)
+        injector = BugInjector([bug])
+        view = pool.typed(pool.zalloc(Mixed._size_), Mixed, site="victim")
+        with push_context(ExecutionContext(injector=injector)):
+            view.c = 0x0F0F0F0F
+            view.arr[1] = 0
+        assert view.c == 0xF0F0F0F0  # bytes inverted on the way in
+        assert view.arr[1] == 2**64 - 1
+        assert injector.triggered == {"b1"}
