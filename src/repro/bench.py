@@ -36,7 +36,10 @@ is what lands in ``BENCH_<name>.json``; the workload inside every
 repeat is fixed and seeded, so run-to-run variance comes only from the
 host.  ``--quick`` shrinks the iteration counts for CI smoke use.
 When a committed baseline directory is given (default
-``benchmarks/baseline``), the runner prints a delta column against it.
+``benchmarks/baseline``), the runner prints a delta column against it —
+only where the baseline ran under the same provenance (python minor
+version, coverage backend, exec core, numpy present or absent); a
+mismatch prints its reason once and leaves the deltas ``None``.
 """
 
 from __future__ import annotations
@@ -492,6 +495,45 @@ def _fmt(value: float) -> str:
     return f"{value:.2f}"
 
 
+def numpy_version() -> str:
+    """The numpy version this process runs with, or ``"absent"``."""
+    if not HAVE_NUMPY:
+        return "absent"
+    import numpy
+    return numpy.__version__
+
+
+def _provenance(doc: dict) -> Dict[str, Optional[str]]:
+    """The keys a baseline must share with a run to be compared to it."""
+    python = doc.get("python")
+    numpy = doc.get("numpy")
+    return {
+        "python": ".".join(python.split(".")[:2]) if python else None,
+        "cov_backend": doc.get("cov_backend"),
+        "exec_core": doc.get("exec_core"),
+        "numpy": None if numpy is None
+        else ("absent" if numpy == "absent" else "present"),
+    }
+
+
+def baseline_mismatch(doc: dict, baseline: Optional[dict]) -> Optional[str]:
+    """Why ``baseline`` is not comparable with ``doc`` (None if it is).
+
+    A baseline that does not record a key (older artifacts have no
+    ``numpy``) counts as differing on it.
+    """
+    if baseline is None:
+        return None
+    ours, theirs = _provenance(doc), _provenance(baseline)
+    diffs = [f"{key} {theirs[key] or 'unrecorded'} vs {ours[key]}"
+             for key in ours
+             if theirs[key] is None or theirs[key] != ours[key]]
+    if not diffs:
+        return None
+    return ("no baseline deltas, provenance differs (baseline vs this "
+            "run): " + ", ".join(diffs))
+
+
 def baseline_deltas(metrics: Dict[str, float],
                     baseline: Optional[dict]) -> Dict[str, Optional[float]]:
     """Percent delta per metric against a baseline document.
@@ -499,7 +541,8 @@ def baseline_deltas(metrics: Dict[str, float],
     Every metric gets a key; the value is ``None`` where the baseline
     has no comparable number (missing file, new metric, zero baseline),
     so the result-document schema is identical with and without a
-    baseline — the bench regression test keys on that.
+    baseline — the bench regression test keys on that.  Callers pass
+    ``None`` for a baseline that :func:`baseline_mismatch` rejects.
     """
     base_metrics = (baseline or {}).get("metrics", {})
     deltas: Dict[str, Optional[float]] = {}
@@ -540,6 +583,7 @@ def run_suite(names: Optional[List[str]] = None, quick: bool = False,
             f"known: {', '.join(BENCHMARKS)}")
     os.makedirs(out_dir, exist_ok=True)
     docs = []
+    reported = set()
     for name in selected:
         # Load the baseline before writing: out_dir may BE baseline_dir.
         baseline = load_baseline(baseline_dir, name) if baseline_dir else None
@@ -547,6 +591,13 @@ def run_suite(names: Optional[List[str]] = None, quick: bool = False,
         doc["exec_core"] = core
         doc["cov_backend"] = backend
         doc["python"] = platform.python_version()
+        doc["numpy"] = numpy_version()
+        mismatch = baseline_mismatch(doc, baseline)
+        if mismatch is not None:
+            baseline = None
+            if mismatch not in reported:
+                reported.add(mismatch)
+                print_fn(mismatch)
         doc["baseline_delta"] = baseline_deltas(doc["metrics"], baseline)
         docs.append(doc)
         path = os.path.join(out_dir, f"BENCH_{name}.json")

@@ -18,7 +18,8 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Tuple
 
-from repro.instrument.counter_map import BUCKET_LUT_NP, bucket_of
+from repro.instrument.counter_map import (BUCKET_LUT_NP, BUCKET_MASKS,
+                                          bucket_of)
 
 try:  # The vector core needs numpy; the scalar algebra never does.
     import numpy as _np
@@ -54,10 +55,12 @@ class GlobalCoverage:
         new_bucket = False
         new_slots: List[int] = []
         virgin = self.virgin
+        masks = BUCKET_MASKS
         for slot, count in sparse:
             if not count:
                 continue
-            mask = 1 << (bucket_of(count) & 7)
+            mask = (masks[count] if 0 < count < 256
+                    else 1 << (bucket_of(count) & 7))
             seen = virgin.get(slot, 0)
             if seen == 0:
                 new_slot = True
@@ -71,10 +74,12 @@ class GlobalCoverage:
         new_slot = False
         new_bucket = False
         virgin = self.virgin
+        masks = BUCKET_MASKS
         for slot, count in sparse:
             if not count:
                 continue
-            mask = 1 << (bucket_of(count) & 7)
+            mask = (masks[count] if 0 < count < 256
+                    else 1 << (bucket_of(count) & 7))
             seen = virgin.get(slot, 0)
             if seen == 0:
                 new_slot = True
@@ -165,8 +170,10 @@ class VectorGlobalCoverage:
             new_bucket = False
             new_slots: List[int] = []
             virgin = self._virgin
+            masks = BUCKET_MASKS
             for slot, count in pairs:
-                mask = 1 << (bucket_of(count) & 7)
+                mask = (masks[count] if 0 < count < 256
+                        else 1 << (bucket_of(count) & 7))
                 seen = virgin[slot]
                 if seen == 0:
                     new_slot = True
@@ -190,8 +197,10 @@ class VectorGlobalCoverage:
             new_slot = False
             new_bucket = False
             virgin = self._virgin
+            masks = BUCKET_MASKS
             for slot, count in pairs:
-                mask = 1 << (bucket_of(count) & 7)
+                mask = (masks[count] if 0 < count < 256
+                        else 1 << (bucket_of(count) & 7))
                 seen = virgin[slot]
                 if seen == 0:
                     new_slot = True

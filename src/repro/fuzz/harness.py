@@ -19,15 +19,24 @@ coverage, while the instrumented prefix/command code paths
 identical across every configuration — on a warm hit the prefix's
 recorded coverage delta is replayed by the cache, so the resulting map
 is byte-identical to a cold open.
+
+The harness is also one big PM-library region: it runs with the settrace
+recorder's hook off and puts it back only around the three calls into
+the target program (:func:`~repro.instrument.branchcov.call_traced`),
+so pool open, recovery and the warm-cache and snapshot plumbing never
+pay the tracer's per-frame tax (DESIGN.md §18).
 """
 
 from __future__ import annotations
 
+import sys
 from typing import Optional, Sequence
 
 from repro.errors import (CORRUPTION_ERRORS, InvalidImageError,
                           OutOfPMemError, PMemError, SimulatedCrash,
                           TransactionAborted)
+from repro.instrument import branchcov
+from repro.instrument.branchcov import call_traced
 from repro.pmdk.pool import PmemObjPool
 from repro.pmem.image import PMImage
 from repro.workloads.base import Command, RunOutcome, RunResult
@@ -65,11 +74,27 @@ def run_workload(
     by a restored domain plus replayed coverage deltas — observably
     identical to running it.
     """
-    result = RunResult(outcome=RunOutcome.OK)
     if workload._volatile is None:
         # One processor per workload instance (the executor adopts its
         # own pooled processor instead, resetting it per execution).
+        # Built before the hook comes off: it is target-program code.
         workload._volatile = VolatileCommandProcessor()
+    hook = sys.gettrace()
+    if hook is branchcov.library_hook:
+        sys.settrace(None)
+    try:
+        return _run(workload, image, commands, crash_at_fence,
+                    crash_at_store, weak_states, max_weak_states,
+                    snapshot_plan, warm)
+    finally:
+        if hook is branchcov.library_hook:
+            sys.settrace(hook)
+
+
+def _run(workload, image, commands, crash_at_fence, crash_at_store,
+         weak_states, max_weak_states, snapshot_plan, warm) -> RunResult:
+    """:func:`run_workload`'s lifecycle, entered with the hook off."""
+    result = RunResult(outcome=RunOutcome.OK)
     pool: Optional[PmemObjPool] = None
     try:
         if warm is not None:
@@ -98,16 +123,16 @@ def run_workload(
             if snapshot_plan is not None and snapshot_plan:
                 pool.domain.plan_snapshots(fences=snapshot_plan.fences,
                                            stores=snapshot_plan.stores)
-            workload.run_prefix(pool)
+            call_traced(workload.run_prefix, pool)
             if warm is not None:
                 warm.store(pool)
-        workload.run_commands(pool, commands, result)
+        call_traced(workload.run_commands, pool, commands, result)
     except SimulatedCrash:
         result.outcome = RunOutcome.CRASHED
         result.crash_image = pool.crash_image()
         if weak_states:
-            result.weak_crash_images = workload._weak_images(
-                pool, max_weak_states)
+            result.weak_crash_images = call_traced(
+                workload._weak_images, pool, max_weak_states)
     except CORRUPTION_ERRORS as exc:
         # Wild reads/writes from corrupted persistent data: the process
         # would die with SIGSEGV.

@@ -19,6 +19,17 @@ Two recorders implement the same map (see
 * :class:`MonitoringBranchCoverage` — PEP 669 ``sys.monitoring`` LINE
   events (py3.12+), which lets non-instrumented code answer ``DISABLE``
   once per location instead of paying a callback per line forever.
+
+Library suspension (py<3.12).  While a ``sys.settrace`` hook is
+installed, CPython up to 3.11 runs *every* frame on the slow tracing
+path, including frames whose ``f_trace`` is None.  PM-library code
+(``repro.pmdk``, ``repro.pmem``) is never instrumented, so its entry
+points take the running recorder's hook off on entry and put it back on
+every exit, and :func:`call_traced` puts it back around the few calls
+the library makes into instrumented code.  Library frames never produce
+coverage events, so the map is unchanged.  The check is by identity
+against :data:`library_hook`: a foreign tracer (coverage.py, pdb) is
+never touched.  See DESIGN.md §18.
 """
 
 from __future__ import annotations
@@ -31,6 +42,38 @@ from repro.errors import FuzzerError
 
 #: Coverage map size (matches AFL's 64 KiB).
 COV_MAP_SIZE = 1 << 16
+
+#: Whether a running settrace recorder lets PM-library code suspend its
+#: hook.  Only where ``sys.monitoring`` is absent: on 3.12+ toggling
+#: ``sys.settrace`` re-instruments code and costs more than it saves.
+SUSPEND_IN_LIBRARY = not hasattr(sys, "monitoring")
+
+#: Stands in for "no suspendable hook"; ``sys.gettrace()`` never returns it.
+_NO_HOOK = object()
+
+#: The hook PM-library entry points may take off: the running settrace
+#: recorder's, when :data:`SUSPEND_IN_LIBRARY` held at its start, else
+#: :data:`_NO_HOOK`.  Library code reads it as ``branchcov.library_hook``
+#: and suspends only when ``sys.gettrace()`` is this very object.
+library_hook = _NO_HOOK
+
+
+def call_traced(fn, *args):
+    """Call instrumented code ``fn`` from PM-library code.
+
+    Inside a suspended library region the recorder's hook is put back for
+    the call (and taken off again after), so workload callbacks such as
+    the synthetic-bug injector are covered exactly as if the library had
+    never suspended.  Anywhere else this is a plain call.
+    """
+    hook = library_hook
+    if hook is _NO_HOOK or sys.gettrace() is not None:
+        return fn(*args)
+    sys.settrace(hook)
+    try:
+        return fn(*args)
+    finally:
+        sys.settrace(None)
 
 
 class BranchCoverage:
@@ -63,6 +106,9 @@ class BranchCoverage:
         #: reissued while the entry is cached.
         self._loc_cache: Dict[Tuple[int, int], Tuple[int, object]] = {}
         self._active = False
+        #: The installed hook, bound once so that ``sys.gettrace()``
+        #: returns this very object (the library-suspension identity).
+        self._hook = self._global_trace
 
     # ------------------------------------------------------------------
     def _instrumented(self, filename: str) -> bool:
@@ -119,16 +165,22 @@ class BranchCoverage:
     # ------------------------------------------------------------------
     def start(self) -> None:
         """Begin recording (installs the trace hook)."""
+        global library_hook
         if self._active:
             return
         self._active = True
-        sys.settrace(self._global_trace)
+        if SUSPEND_IN_LIBRARY:
+            library_hook = self._hook
+        sys.settrace(self._hook)
 
     def stop(self) -> None:
         """Stop recording (removes the trace hook)."""
+        global library_hook
         if not self._active:
             return
         sys.settrace(None)
+        if library_hook is self._hook:
+            library_hook = _NO_HOOK
         self._active = False
 
     def __enter__(self) -> "BranchCoverage":

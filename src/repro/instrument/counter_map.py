@@ -41,6 +41,10 @@ def _bucket_of_scan(count: int) -> int:
 #: on the Algorithm-2 prioritization path.
 _BUCKET_LUT = tuple(_bucket_of_scan(c) for c in range(256))
 
+#: ``1 << (bucket_of(count) & 7)`` for every count in [0, 256): the
+#: virgin-map bit a count sets, one tuple index in the coverage merge.
+BUCKET_MASKS = tuple(1 << (bucket & 7) for bucket in _BUCKET_LUT)
+
 
 def bucket_of(count: int) -> int:
     """Return the bucket index for a raw 8-bit counter value."""

@@ -24,10 +24,11 @@ Example::
 from __future__ import annotations
 
 import struct as _struct
-from sys import _getframe
+from sys import _getframe, gettrace as _gettrace, settrace as _settrace
 from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.errors import PMemError
+from repro.instrument import branchcov as _cov
 from repro.instrument.context import _SITE_CACHE, pm_call_site, site_label
 
 
@@ -87,6 +88,11 @@ class Array:
 # label and cache as :func:`pm_call_site`) and goes straight to
 # ``pool.read``/``pool.write``: a scalar load or store is the accessor
 # plus the pool, context, counter-map and domain frames, nothing else.
+#
+# Each accessor is also a library entry point: it takes the settrace
+# recorder's hook off for the access and puts it back on every exit
+# (``branchcov.library_hook``, DESIGN.md §18).  The check is inline
+# because a helper would be one more frame on this path.
 # ----------------------------------------------------------------------
 class _Field:
     """Data descriptor for one scalar or :class:`Bytes` field."""
@@ -109,8 +115,15 @@ class _Field:
             frame = _getframe(1)
             key = (id(frame.f_code), frame.f_lineno)
             site = _SITE_CACHE.get(key) or site_label(frame, key)
-        return self.unpack(
-            view._pool.read(view._offset + self.offset, self.size, site))[0]
+        hook = _gettrace()
+        if hook is _cov.library_hook:
+            _settrace(None)
+        try:
+            return self.unpack(view._pool.read(
+                view._offset + self.offset, self.size, site))[0]
+        finally:
+            if hook is _cov.library_hook:
+                _settrace(hook)
 
     def __set__(self, view: Any, value: Any) -> None:
         site = view._site
@@ -118,7 +131,15 @@ class _Field:
             frame = _getframe(1)
             key = (id(frame.f_code), frame.f_lineno)
             site = _SITE_CACHE.get(key) or site_label(frame, key)
-        view._pool.write(view._offset + self.offset, self.pack(value), site)
+        hook = _gettrace()
+        if hook is _cov.library_hook:
+            _settrace(None)
+        try:
+            view._pool.write(view._offset + self.offset, self.pack(value),
+                             site)
+        finally:
+            if hook is _cov.library_hook:
+                _settrace(hook)
 
 
 class _ArrayField:
@@ -138,8 +159,15 @@ class _ArrayField:
     def __get__(self, view: Any, owner: Any = None) -> Any:
         if view is None:
             return self
-        return _BoundArray(view._pool, view._offset + self.offset, self,
-                           view._site)
+        hook = _gettrace()
+        if hook is _cov.library_hook:
+            _settrace(None)
+        try:
+            return _BoundArray(view._pool, view._offset + self.offset, self,
+                               view._site)
+        finally:
+            if hook is _cov.library_hook:
+                _settrace(hook)
 
     def __set__(self, view: Any, value: Any) -> None:
         raise PMemError(
@@ -172,8 +200,15 @@ class _BoundArray:
             key = (id(frame.f_code), frame.f_lineno)
             site = _SITE_CACHE.get(key) or site_label(frame, key)
         stride = field.stride
-        return field.unpack_item(
-            self._pool.read(self._base + index * stride, stride, site))[0]
+        hook = _gettrace()
+        if hook is _cov.library_hook:
+            _settrace(None)
+        try:
+            return field.unpack_item(
+                self._pool.read(self._base + index * stride, stride, site))[0]
+        finally:
+            if hook is _cov.library_hook:
+                _settrace(hook)
 
     def __setitem__(self, index: int, value: Any) -> None:
         field = self._field
@@ -185,8 +220,15 @@ class _BoundArray:
             frame = _getframe(1)
             key = (id(frame.f_code), frame.f_lineno)
             site = _SITE_CACHE.get(key) or site_label(frame, key)
-        self._pool.write(self._base + index * field.stride,
-                         field.pack_item(value), site)
+        hook = _gettrace()
+        if hook is _cov.library_hook:
+            _settrace(None)
+        try:
+            self._pool.write(self._base + index * field.stride,
+                             field.pack_item(value), site)
+        finally:
+            if hook is _cov.library_hook:
+                _settrace(hook)
 
     def __iter__(self):
         # The label is the caller of iter(), resolved once: element
@@ -196,14 +238,32 @@ class _BoundArray:
 
     def tolist(self) -> List[Any]:
         """Read the whole array as a Python list."""
-        return list(self._elements(self._site or pm_call_site()))
+        site = self._site or pm_call_site()
+        hook = _gettrace()
+        if hook is _cov.library_hook:
+            _settrace(None)
+        try:
+            return list(self._elements(site))
+        finally:
+            if hook is _cov.library_hook:
+                _settrace(hook)
 
     def _elements(self, site: str):
+        # A generator resumes in its consumer's context: suspend per
+        # element, never across a yield back into workload code.
         field = self._field
         stride = field.stride
         for i in range(field.count):
-            yield field.unpack_item(
-                self._pool.read(self._base + i * stride, stride, site))[0]
+            hook = _gettrace()
+            if hook is _cov.library_hook:
+                _settrace(None)
+            try:
+                value = field.unpack_item(
+                    self._pool.read(self._base + i * stride, stride, site))[0]
+            finally:
+                if hook is _cov.library_hook:
+                    _settrace(hook)
+            yield value
 
 
 class PStructMeta(type):
@@ -291,11 +351,26 @@ def store_field(view: PStruct, field: str, value: Any, site: str) -> None:
     source-line drift.
     """
     desc = type(view).__dict__[field]
-    view._pool.write(view._offset + desc.offset, desc.pack(value), site=site)
+    hook = _gettrace()
+    if hook is _cov.library_hook:
+        _settrace(None)
+    try:
+        view._pool.write(view._offset + desc.offset, desc.pack(value),
+                         site=site)
+    finally:
+        if hook is _cov.library_hook:
+            _settrace(hook)
 
 
 def load_field(view: PStruct, field: str, site: str) -> Any:
     """Load a struct field under an explicit site label."""
     desc = type(view).__dict__[field]
-    return desc.unpack(
-        view._pool.read(view._offset + desc.offset, desc.size, site=site))[0]
+    hook = _gettrace()
+    if hook is _cov.library_hook:
+        _settrace(None)
+    try:
+        return desc.unpack(view._pool.read(
+            view._offset + desc.offset, desc.size, site=site))[0]
+    finally:
+        if hook is _cov.library_hook:
+            _settrace(hook)

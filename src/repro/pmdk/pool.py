@@ -16,10 +16,12 @@ automatic recovery path that the paper's real-world Bug 6 shows is
 
 from __future__ import annotations
 
+from sys import gettrace as _gettrace, settrace as _settrace
 from typing import Any, Optional, Type
 
 from repro.errors import InvalidImageError, SegmentationFault
 from repro.execcore import make_domain
+from repro.instrument import branchcov as _cov
 from repro.instrument.context import _STACK, current_context, pm_call_site
 from repro.pmem.image import PMImage
 from repro.pmem.persistence import PersistenceDomain, TraceEventKind
@@ -53,6 +55,9 @@ class PmemObjPool:
     """An open persistent object pool bound to a PM image.
 
     Not constructed directly — use :meth:`create` or :meth:`open`.
+
+    The methods workloads call are library entry points: each takes the
+    settrace recorder's hook off while it runs (DESIGN.md §18).
     """
 
     def __init__(self, image: PMImage, domain: PersistenceDomain) -> None:
@@ -139,10 +144,17 @@ class PmemObjPool:
         state.  (Crash images, by contrast, are taken from the media view
         at the failure point.)
         """
-        self.domain.emit(TraceEventKind.POOL_CLOSE, 0, 0, "pool:close")
-        self.image.payload = bytearray(self.domain.volatile_view())
-        self.closed = True
-        return self.image
+        hook = _gettrace()
+        if hook is _cov.library_hook:
+            _settrace(None)
+        try:
+            self.domain.emit(TraceEventKind.POOL_CLOSE, 0, 0, "pool:close")
+            self.image.payload = bytearray(self.domain.volatile_view())
+            self.closed = True
+            return self.image
+        finally:
+            if hook is _cov.library_hook:
+                _settrace(hook)
 
     def crash_image(self) -> PMImage:
         """Return the strict crash snapshot as an image (media view only)."""
@@ -162,27 +174,43 @@ class PmemObjPool:
         operation, which is what makes the statement a *PM node* in the
         paper's PM-path definition (Section 3.3).
         """
-        # Checks and context lookup are inline: this runs once per field
-        # access.
-        if offset == OID_NULL or offset < 0 or offset + size > self.domain.size:
-            raise self._fault(offset, size)
-        if _STACK and site:
-            _STACK[-1].record_pm_op(site)
-        return self.domain.load(offset, size, site=site)
+        hook = _gettrace()
+        if hook is _cov.library_hook:
+            _settrace(None)
+        try:
+            # Checks and context lookup are inline: this runs once per field
+            # access.
+            if (offset == OID_NULL or offset < 0
+                    or offset + size > self.domain.size):
+                raise self._fault(offset, size)
+            if _STACK and site:
+                _STACK[-1].record_pm_op(site)
+            return self.domain.load(offset, size, site=site)
+        finally:
+            if hook is _cov.library_hook:
+                _settrace(hook)
 
     def write(self, offset: int, data: bytes, site: str = "") -> None:
         """Traced PM store with NULL/bounds checking (a PM node, see read)."""
-        if (offset == OID_NULL or offset < 0
-                or offset + len(data) > self.domain.size):
-            raise self._fault(offset, len(data))
-        if _STACK:
-            ctx = _STACK[-1]
-            if site:
-                ctx.record_pm_op(site)
-            inj = ctx.injector
-            if inj is not None:
-                data = inj.corrupt_store(site, offset, data)
-        self.domain.store(offset, data, site=site)
+        hook = _gettrace()
+        if hook is _cov.library_hook:
+            _settrace(None)
+        try:
+            if (offset == OID_NULL or offset < 0
+                    or offset + len(data) > self.domain.size):
+                raise self._fault(offset, len(data))
+            if _STACK:
+                ctx = _STACK[-1]
+                if site:
+                    ctx.record_pm_op(site)
+                inj = ctx.injector
+                if inj is not None:
+                    data = _cov.call_traced(inj.corrupt_store, site, offset,
+                                            data)
+            self.domain.store(offset, data, site=site)
+        finally:
+            if hook is _cov.library_hook:
+                _settrace(hook)
 
     def _fault(self, offset: int, size: int) -> SegmentationFault:
         """The fault for a NULL or out-of-bounds access."""
@@ -203,21 +231,36 @@ class PmemObjPool:
         which is how the paper's Bugs 1-5 (dereferencing a rolled-back
         root pointer after a failed initialization) manifest here.
         """
-        if oid == OID_NULL:
-            raise SegmentationFault(
-                f"D_RW(NULL) for {struct_type.__name__}"
-            )
-        if oid < 0 or oid + struct_type._size_ > self.domain.size:
-            raise SegmentationFault(
-                f"OID 0x{oid:x} out of bounds for {struct_type.__name__}"
-            )
-        label = site if site is not None else ""
-        return struct_type(self, oid, site=label)
+        hook = _gettrace()
+        if hook is _cov.library_hook:
+            _settrace(None)
+        try:
+            if oid == OID_NULL:
+                raise SegmentationFault(
+                    f"D_RW(NULL) for {struct_type.__name__}"
+                )
+            if oid < 0 or oid + struct_type._size_ > self.domain.size:
+                raise SegmentationFault(
+                    f"OID 0x{oid:x} out of bounds for {struct_type.__name__}"
+                )
+            label = site if site is not None else ""
+            return struct_type(self, oid, site=label)
+        finally:
+            if hook is _cov.library_hook:
+                _settrace(hook)
 
     @property
     def root_oid(self) -> int:
         """Current root object OID (0 when unset)."""
-        return int.from_bytes(self.domain.load(_META_ROOT_OFF, 8), "little")
+        hook = _gettrace()
+        if hook is _cov.library_hook:
+            _settrace(None)
+        try:
+            return int.from_bytes(self.domain.load(_META_ROOT_OFF, 8),
+                                  "little")
+        finally:
+            if hook is _cov.library_hook:
+                _settrace(hook)
 
     def set_root(self, oid: int, site: Optional[str] = None) -> None:
         """Atomically publish the root OID (persisted immediately).
@@ -226,12 +269,20 @@ class PmemObjPool:
         the caller (``tx.add``) for the update to be recoverable — the
         paper's Bugs 1-5 come from programs getting this wrong.
         """
-        label = site if site is not None else pm_call_site(depth=2)
-        ctx = current_context()
-        if ctx is not None:
-            ctx.record_pm_op(label)
-        self.domain.store(_META_ROOT_OFF, oid.to_bytes(8, "little"), site=label)
-        self.domain.persist(_META_ROOT_OFF, 8, site=label)
+        hook = _gettrace()
+        if hook is _cov.library_hook:
+            _settrace(None)
+        try:
+            label = site if site is not None else pm_call_site(depth=2)
+            ctx = current_context()
+            if ctx is not None:
+                ctx.record_pm_op(label)
+            self.domain.store(_META_ROOT_OFF, oid.to_bytes(8, "little"),
+                              site=label)
+            self.domain.persist(_META_ROOT_OFF, 8, site=label)
+        finally:
+            if hook is _cov.library_hook:
+                _settrace(hook)
 
     def root(self, struct_type: Type, site: Optional[str] = None) -> Any:
         """``pmemobj_root``: get-or-create the root object, typed.
@@ -240,66 +291,124 @@ class PmemObjPool:
         atomically (allocation, then persist, then root-slot update, then
         persist) — the crash-safe pattern PMDK implements internally.
         """
-        label = site if site is not None else pm_call_site(depth=2)
-        oid = self.root_oid
-        if oid == OID_NULL:
-            oid = self.heap.zalloc(struct_type._size_, site=label)
-            self.set_root(oid, site=label)
-        return self.typed(oid, struct_type, site=label)
+        hook = _gettrace()
+        if hook is _cov.library_hook:
+            _settrace(None)
+        try:
+            label = site if site is not None else pm_call_site(depth=2)
+            oid = self.root_oid
+            if oid == OID_NULL:
+                oid = self.heap.zalloc(struct_type._size_, site=label)
+                self.set_root(oid, site=label)
+            return self.typed(oid, struct_type, site=label)
+        finally:
+            if hook is _cov.library_hook:
+                _settrace(hook)
 
     # ------------------------------------------------------------------
     # Transactions & atomic allocation
     # ------------------------------------------------------------------
     def transaction(self) -> Transaction:
         """Return the active transaction (nested TX_BEGIN) or a new one."""
-        return self.active_tx if self.active_tx is not None else Transaction(self)
+        hook = _gettrace()
+        if hook is _cov.library_hook:
+            _settrace(None)
+        try:
+            if self.active_tx is not None:
+                return self.active_tx
+            return Transaction(self)
+        finally:
+            if hook is _cov.library_hook:
+                _settrace(hook)
 
     def alloc(self, size: int, site: Optional[str] = None) -> int:
         """Atomic (non-transactional) allocation, ``POBJ_ALLOC`` style."""
-        label = site if site is not None else pm_call_site(depth=2)
-        ctx = current_context()
-        if ctx is not None:
-            ctx.record_pm_op(label)
-        oid = self.heap.alloc(size, site=label)
-        self.domain.emit(TraceEventKind.ALLOC, oid, size, label)
-        return oid
+        hook = _gettrace()
+        if hook is _cov.library_hook:
+            _settrace(None)
+        try:
+            label = site if site is not None else pm_call_site(depth=2)
+            ctx = current_context()
+            if ctx is not None:
+                ctx.record_pm_op(label)
+            oid = self.heap.alloc(size, site=label)
+            self.domain.emit(TraceEventKind.ALLOC, oid, size, label)
+            return oid
+        finally:
+            if hook is _cov.library_hook:
+                _settrace(hook)
 
     def zalloc(self, size: int, site: Optional[str] = None) -> int:
         """Atomic zeroed allocation, ``POBJ_ZALLOC`` style."""
-        label = site if site is not None else pm_call_site(depth=2)
-        ctx = current_context()
-        if ctx is not None:
-            ctx.record_pm_op(label)
-        oid = self.heap.zalloc(size, site=label)
-        self.domain.emit(TraceEventKind.ALLOC, oid, size, label)
-        return oid
+        hook = _gettrace()
+        if hook is _cov.library_hook:
+            _settrace(None)
+        try:
+            label = site if site is not None else pm_call_site(depth=2)
+            ctx = current_context()
+            if ctx is not None:
+                ctx.record_pm_op(label)
+            oid = self.heap.zalloc(size, site=label)
+            self.domain.emit(TraceEventKind.ALLOC, oid, size, label)
+            return oid
+        finally:
+            if hook is _cov.library_hook:
+                _settrace(hook)
 
     def free(self, oid: int, site: Optional[str] = None) -> None:
         """Atomic free, ``POBJ_FREE`` style."""
-        label = site if site is not None else pm_call_site(depth=2)
-        ctx = current_context()
-        if ctx is not None:
-            ctx.record_pm_op(label)
-        self.heap.free(oid, site=label)
-        self.domain.emit(TraceEventKind.FREE, oid, 0, label)
+        hook = _gettrace()
+        if hook is _cov.library_hook:
+            _settrace(None)
+        try:
+            label = site if site is not None else pm_call_site(depth=2)
+            ctx = current_context()
+            if ctx is not None:
+                ctx.record_pm_op(label)
+            self.heap.free(oid, site=label)
+            self.domain.emit(TraceEventKind.FREE, oid, 0, label)
+        finally:
+            if hook is _cov.library_hook:
+                _settrace(hook)
 
     # ------------------------------------------------------------------
     # Low-level persistence (libpmem pass-throughs)
     # ------------------------------------------------------------------
     def persist(self, offset: int, size: int, site: Optional[str] = None) -> None:
         """``pmem_persist`` on a pool range."""
-        libpmem.pmem_persist(self.domain, offset, size,
-                             site=site if site is not None else pm_call_site(depth=2))
+        hook = _gettrace()
+        if hook is _cov.library_hook:
+            _settrace(None)
+        try:
+            label = site if site is not None else pm_call_site(depth=2)
+            libpmem.pmem_persist(self.domain, offset, size, site=label)
+        finally:
+            if hook is _cov.library_hook:
+                _settrace(hook)
 
     def flush(self, offset: int, size: int, site: Optional[str] = None) -> None:
         """``pmem_flush`` on a pool range."""
-        libpmem.pmem_flush(self.domain, offset, size,
-                           site=site if site is not None else pm_call_site(depth=2))
+        hook = _gettrace()
+        if hook is _cov.library_hook:
+            _settrace(None)
+        try:
+            label = site if site is not None else pm_call_site(depth=2)
+            libpmem.pmem_flush(self.domain, offset, size, site=label)
+        finally:
+            if hook is _cov.library_hook:
+                _settrace(hook)
 
     def drain(self, site: Optional[str] = None) -> None:
         """``pmem_drain`` (fence)."""
-        libpmem.pmem_drain(self.domain,
-                           site=site if site is not None else pm_call_site(depth=2))
+        hook = _gettrace()
+        if hook is _cov.library_hook:
+            _settrace(None)
+        try:
+            label = site if site is not None else pm_call_site(depth=2)
+            libpmem.pmem_drain(self.domain, site=label)
+        finally:
+            if hook is _cov.library_hook:
+                _settrace(hook)
 
     @property
     def heap_base(self) -> int:

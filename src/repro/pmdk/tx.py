@@ -25,9 +25,11 @@ detector flags exactly those stores.
 from __future__ import annotations
 
 import enum
+from sys import gettrace as _gettrace, settrace as _settrace
 from typing import Any, List, Optional, Tuple, Type
 
 from repro.errors import TransactionAborted, TransactionError
+from repro.instrument import branchcov as _cov
 from repro.instrument.context import _STACK, current_context, pm_call_site
 from repro.pmem.persistence import TraceEventKind
 from repro.pmdk.heap import PersistentHeap
@@ -37,6 +39,13 @@ from repro.pmdk.rangetree import RangeTree
 MAX_LOG_ENTRIES = 128
 LOG_ENTRY_SIZE = 32
 LOG_DATA_SIZE = 16 * 1024
+
+#: Site label of :meth:`Transaction.set_field`'s store through an
+#: unlabelled view.  A fixed ``file:line``-style string, not the line
+#: the store sits on: site labels key the PM counter map and the
+#: synthetic-bug sites (rbtree's Bug-11 variant reaches this one), so
+#: editing this file must not move it.
+SET_FIELD_SITE = "pmdk/tx.py:305"
 
 
 class TxStage(enum.IntEnum):
@@ -175,6 +184,9 @@ class Transaction:
     Leaving the block normally commits; an exception rolls back and
     re-raises as :class:`~repro.errors.TransactionAborted` (matching
     ``TX_ONABORT`` semantics).
+
+    Every public method is a library entry point: it takes the settrace
+    recorder's hook off while it runs (DESIGN.md §18).
     """
 
     def __init__(self, pool: Any) -> None:
@@ -190,49 +202,70 @@ class Transaction:
     # ------------------------------------------------------------------
     def begin(self, site: Optional[str] = None) -> None:
         """TX_BEGIN: enter (or nest into) the transaction."""
-        label = site if site is not None else pm_call_site(depth=2)
-        self._record(label)
-        if self._depth == 0:
-            if self.log.stage is not TxStage.NONE:
-                raise TransactionError(
-                    f"TX_BEGIN with log in stage {self.log.stage.name}"
-                )
-            self.log.set_stage(TxStage.WORK, label)
-            self.pool.domain.emit(TraceEventKind.TX_BEGIN, 0, 0, label)
-            self.pool.active_tx = self
-        self._depth += 1
+        hook = _gettrace()
+        if hook is _cov.library_hook:
+            _settrace(None)
+        try:
+            label = site if site is not None else pm_call_site(depth=2)
+            self._record(label)
+            if self._depth == 0:
+                if self.log.stage is not TxStage.NONE:
+                    raise TransactionError(
+                        f"TX_BEGIN with log in stage {self.log.stage.name}"
+                    )
+                self.log.set_stage(TxStage.WORK, label)
+                self.pool.domain.emit(TraceEventKind.TX_BEGIN, 0, 0, label)
+                self.pool.active_tx = self
+            self._depth += 1
+        finally:
+            if hook is _cov.library_hook:
+                _settrace(hook)
 
     def commit(self, site: Optional[str] = None) -> None:
         """TX_END on the success path."""
-        label = site if site is not None else pm_call_site(depth=2)
-        self._record(label)
-        if self._depth == 0:
-            raise TransactionError("commit without begin")
-        self._depth -= 1
-        if self._depth > 0:
-            return
-        # Persist all covered (snapshotted + freshly allocated) ranges.
-        for start, end in self.ranges:
-            self.pool.domain.flush(start, end - start, site=label)
-        self.pool.domain.drain(site=label)
-        self.log.set_stage(TxStage.COMMITTED, label)
-        for oid in self._deferred_free:
-            self.heap.free(oid, site=label)
-        self.log.clear(label)
-        self.log.set_stage(TxStage.NONE, label)
-        self.pool.domain.emit(TraceEventKind.TX_COMMIT, 0, 0, label)
-        self._finish()
+        hook = _gettrace()
+        if hook is _cov.library_hook:
+            _settrace(None)
+        try:
+            label = site if site is not None else pm_call_site(depth=2)
+            self._record(label)
+            if self._depth == 0:
+                raise TransactionError("commit without begin")
+            self._depth -= 1
+            if self._depth > 0:
+                return
+            # Persist all covered (snapshotted + freshly allocated) ranges.
+            for start, end in self.ranges:
+                self.pool.domain.flush(start, end - start, site=label)
+            self.pool.domain.drain(site=label)
+            self.log.set_stage(TxStage.COMMITTED, label)
+            for oid in self._deferred_free:
+                self.heap.free(oid, site=label)
+            self.log.clear(label)
+            self.log.set_stage(TxStage.NONE, label)
+            self.pool.domain.emit(TraceEventKind.TX_COMMIT, 0, 0, label)
+            self._finish()
+        finally:
+            if hook is _cov.library_hook:
+                _settrace(hook)
 
     def abort(self, site: Optional[str] = None) -> None:
         """Explicit TX_ABORT: roll back and reset."""
-        label = site if site is not None else pm_call_site(depth=2)
-        self._record(label)
-        if self._depth == 0:
-            raise TransactionError("abort without begin")
-        rollback_log(self.pool, site=label)
-        self.pool.domain.emit(TraceEventKind.TX_ABORT, 0, 0, label)
-        self._depth = 0
-        self._finish()
+        hook = _gettrace()
+        if hook is _cov.library_hook:
+            _settrace(None)
+        try:
+            label = site if site is not None else pm_call_site(depth=2)
+            self._record(label)
+            if self._depth == 0:
+                raise TransactionError("abort without begin")
+            rollback_log(self.pool, site=label)
+            self.pool.domain.emit(TraceEventKind.TX_ABORT, 0, 0, label)
+            self._depth = 0
+            self._finish()
+        finally:
+            if hook is _cov.library_hook:
+                _settrace(hook)
 
     def _finish(self) -> None:
         self.ranges.clear()
@@ -240,28 +273,43 @@ class Transaction:
         self.pool.active_tx = None
 
     def __enter__(self) -> "Transaction":
-        self.begin(site=pm_call_site(depth=2))
-        return self
+        hook = _gettrace()
+        if hook is _cov.library_hook:
+            _settrace(None)
+        try:
+            self.begin(site=pm_call_site(depth=2))
+            return self
+        finally:
+            if hook is _cov.library_hook:
+                _settrace(hook)
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        from repro.errors import SegmentationFault, SimulatedCrash
+        hook = _gettrace()
+        if hook is _cov.library_hook:
+            _settrace(None)
+        try:
+            from repro.errors import SegmentationFault, SimulatedCrash
 
-        if exc_type is None:
-            self.commit(site="tx:commit")
-            return False
-        if issubclass(exc_type, (SimulatedCrash, SegmentationFault, KeyboardInterrupt)):
-            # The "process" died: no abort handler runs; the undo log stays
-            # in stage WORK and recovery at the next pool open rolls back.
-            self._depth = 0
-            self.pool.active_tx = None
-            return False
-        if self._depth > 1:
-            self._depth -= 1
-            return False  # propagate to the outermost level
-        self.abort(site="tx:abort")
-        if isinstance(exc, TransactionAborted):
-            return False
-        raise TransactionAborted(str(exc)) from exc
+            if exc_type is None:
+                self.commit(site="tx:commit")
+                return False
+            if issubclass(exc_type, (SimulatedCrash, SegmentationFault,
+                                     KeyboardInterrupt)):
+                # The "process" died: no abort handler runs; the undo log stays
+                # in stage WORK and recovery at the next pool open rolls back.
+                self._depth = 0
+                self.pool.active_tx = None
+                return False
+            if self._depth > 1:
+                self._depth -= 1
+                return False  # propagate to the outermost level
+            self.abort(site="tx:abort")
+            if isinstance(exc, TransactionAborted):
+                return False
+            raise TransactionAborted(str(exc)) from exc
+        finally:
+            if hook is _cov.library_hook:
+                _settrace(hook)
 
     # ------------------------------------------------------------------
     # Logging / allocation primitives
@@ -273,76 +321,143 @@ class Transaction:
         performs only the range-tree lookup and emits a
         ``TX_ADD_REDUNDANT`` annotation — the performance-bug signal.
         """
-        label = site if site is not None else pm_call_site(depth=2)
-        self._record(label)
-        self._require_active()
-        inj = _STACK[-1].injector if _STACK else None
-        if inj is not None and inj.skip_tx_add(label):
-            return
-        if self.ranges.covers(offset, size):
-            self.pool.domain.emit(TraceEventKind.TX_ADD_REDUNDANT, offset, size, label)
-            return
-        old = self.pool.domain.load(offset, size, site=label)
-        self.log.append_entry(EntryKind.SNAPSHOT, offset, size, old, label)
-        self.ranges.add(offset, size)
-        self.pool.domain.emit(TraceEventKind.TX_ADD, offset, size, label)
+        hook = _gettrace()
+        if hook is _cov.library_hook:
+            _settrace(None)
+        try:
+            label = site if site is not None else pm_call_site(depth=2)
+            self._record(label)
+            self._require_active()
+            inj = _STACK[-1].injector if _STACK else None
+            if inj is not None and _cov.call_traced(inj.skip_tx_add, label):
+                return
+            if self.ranges.covers(offset, size):
+                self.pool.domain.emit(TraceEventKind.TX_ADD_REDUNDANT,
+                                      offset, size, label)
+                return
+            old = self.pool.domain.load(offset, size, site=label)
+            self.log.append_entry(EntryKind.SNAPSHOT, offset, size, old, label)
+            self.ranges.add(offset, size)
+            self.pool.domain.emit(TraceEventKind.TX_ADD, offset, size, label)
+        finally:
+            if hook is _cov.library_hook:
+                _settrace(hook)
 
     def add_struct(self, view: Any, site: Optional[str] = None) -> None:
         """TX_ADD of a whole typed struct view."""
-        self.add(view.offset, type(view)._size_,
-                 site=site if site is not None else pm_call_site(depth=2))
+        hook = _gettrace()
+        if hook is _cov.library_hook:
+            _settrace(None)
+        try:
+            self.add(view.offset, type(view)._size_,
+                     site=site if site is not None else pm_call_site(depth=2))
+        finally:
+            if hook is _cov.library_hook:
+                _settrace(hook)
 
     def add_field(self, view: Any, field: str, site: Optional[str] = None) -> None:
         """TX_ADD_FIELD: snapshot a single struct field."""
-        self.add(view.field_addr(field), type(view).field_size(field),
-                 site=site if site is not None else pm_call_site(depth=2))
+        hook = _gettrace()
+        if hook is _cov.library_hook:
+            _settrace(None)
+        try:
+            self.add(view.field_addr(field), type(view).field_size(field),
+                     site=site if site is not None else pm_call_site(depth=2))
+        finally:
+            if hook is _cov.library_hook:
+                _settrace(hook)
 
     def set_field(self, view: Any, field: str, value: Any,
                   site: Optional[str] = None) -> None:
         """TX_SET: TX_ADD_FIELD followed by the store."""
-        label = site if site is not None else pm_call_site(depth=2)
-        self.add(view.field_addr(field), type(view).field_size(field), site=label)
-        setattr(view, field, value)
+        hook = _gettrace()
+        if hook is _cov.library_hook:
+            _settrace(None)
+        try:
+            label = site if site is not None else pm_call_site(depth=2)
+            self.add(view.field_addr(field), type(view).field_size(field),
+                     site=label)
+            if not view._site:
+                view = type(view)(view._pool, view._offset, SET_FIELD_SITE)
+            setattr(view, field, value)
+        finally:
+            if hook is _cov.library_hook:
+                _settrace(hook)
 
     def alloc(self, size: int, site: Optional[str] = None) -> int:
         """TX_ALLOC: allocate; rolled back (freed) on abort."""
-        label = site if site is not None else pm_call_site(depth=2)
-        self._record(label)
-        self._require_active()
-        oid = self.heap.alloc(size, site=label)
-        self.log.append_entry(EntryKind.ALLOC, oid, size, b"", label)
-        # Fresh allocations need no snapshot: cover them in the range tree.
-        self.ranges.add(oid, size)
-        self.pool.domain.emit(TraceEventKind.ALLOC, oid, size, label)
-        return oid
+        hook = _gettrace()
+        if hook is _cov.library_hook:
+            _settrace(None)
+        try:
+            label = site if site is not None else pm_call_site(depth=2)
+            self._record(label)
+            self._require_active()
+            oid = self.heap.alloc(size, site=label)
+            self.log.append_entry(EntryKind.ALLOC, oid, size, b"", label)
+            # Fresh allocations need no snapshot: cover them in the range tree.
+            self.ranges.add(oid, size)
+            self.pool.domain.emit(TraceEventKind.ALLOC, oid, size, label)
+            return oid
+        finally:
+            if hook is _cov.library_hook:
+                _settrace(hook)
 
     def zalloc(self, size: int, site: Optional[str] = None) -> int:
         """TX_ZALLOC: allocate zeroed memory."""
-        label = site if site is not None else pm_call_site(depth=2)
-        oid = self.alloc(size, site=label)
-        self.pool.domain.store(oid, b"\0" * size, site=label)
-        return oid
+        hook = _gettrace()
+        if hook is _cov.library_hook:
+            _settrace(None)
+        try:
+            label = site if site is not None else pm_call_site(depth=2)
+            oid = self.alloc(size, site=label)
+            self.pool.domain.store(oid, b"\0" * size, site=label)
+            return oid
+        finally:
+            if hook is _cov.library_hook:
+                _settrace(hook)
 
     def new(self, struct_type: Type, site: Optional[str] = None) -> Any:
         """TX_NEW: allocate a struct-sized block, return the typed view."""
-        label = site if site is not None else pm_call_site(depth=2)
-        oid = self.alloc(struct_type._size_, site=label)
-        return self.pool.typed(oid, struct_type, site=label)
+        hook = _gettrace()
+        if hook is _cov.library_hook:
+            _settrace(None)
+        try:
+            label = site if site is not None else pm_call_site(depth=2)
+            oid = self.alloc(struct_type._size_, site=label)
+            return self.pool.typed(oid, struct_type, site=label)
+        finally:
+            if hook is _cov.library_hook:
+                _settrace(hook)
 
     def znew(self, struct_type: Type, site: Optional[str] = None) -> Any:
         """TX_ZNEW: allocate a zeroed struct, return the typed view."""
-        label = site if site is not None else pm_call_site(depth=2)
-        oid = self.zalloc(struct_type._size_, site=label)
-        return self.pool.typed(oid, struct_type, site=label)
+        hook = _gettrace()
+        if hook is _cov.library_hook:
+            _settrace(None)
+        try:
+            label = site if site is not None else pm_call_site(depth=2)
+            oid = self.zalloc(struct_type._size_, site=label)
+            return self.pool.typed(oid, struct_type, site=label)
+        finally:
+            if hook is _cov.library_hook:
+                _settrace(hook)
 
     def free(self, oid: int, site: Optional[str] = None) -> None:
         """TX_FREE: deferred until commit (undone simply by aborting)."""
-        label = site if site is not None else pm_call_site(depth=2)
-        self._record(label)
-        self._require_active()
-        self.log.append_entry(EntryKind.FREE, oid, 0, b"", label)
-        self._deferred_free.append(oid)
-        self.pool.domain.emit(TraceEventKind.FREE, oid, 0, label)
+        hook = _gettrace()
+        if hook is _cov.library_hook:
+            _settrace(None)
+        try:
+            label = site if site is not None else pm_call_site(depth=2)
+            self._record(label)
+            self._require_active()
+            self.log.append_entry(EntryKind.FREE, oid, 0, b"", label)
+            self._deferred_free.append(oid)
+            self.pool.domain.emit(TraceEventKind.FREE, oid, 0, label)
+        finally:
+            if hook is _cov.library_hook:
+                _settrace(hook)
 
     # ------------------------------------------------------------------
     def _require_active(self) -> None:

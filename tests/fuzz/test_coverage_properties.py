@@ -14,9 +14,10 @@ algebra gets adversarial inputs:
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.execcore import HAVE_NUMPY
 from repro.fuzz.coverage import MAP_SIZE, GlobalCoverage
-from repro.instrument.counter_map import (_BUCKETS, PM_MAP_SIZE, bucket_of,
-                                          PMCounterMap)
+from repro.instrument.counter_map import (_BUCKETS, BUCKET_MASKS, PM_MAP_SIZE,
+                                          bucket_of, PMCounterMap)
 
 op_ids = st.integers(min_value=0, max_value=2**20)
 op_sequences = st.lists(op_ids, max_size=60)
@@ -24,6 +25,11 @@ op_sequences = st.lists(op_ids, max_size=60)
 #: at most one (slot, count) entry per slot.
 sparse_maps = st.lists(
     st.tuples(st.integers(0, MAP_SIZE - 1), st.integers(0, 255)),
+    max_size=40, unique_by=lambda pair: pair[0])
+#: The same, with counts no 8-bit map produces (the merge must still
+#: bucket them exactly as ``bucket_of`` does).
+wide_sparse_maps = st.lists(
+    st.tuples(st.integers(0, MAP_SIZE - 1), st.integers(-300, 1 << 20)),
     max_size=40, unique_by=lambda pair: pair[0])
 
 
@@ -107,6 +113,10 @@ class TestBucketing:
     def test_every_count_has_a_bucket_in_range(self, count):
         assert 0 <= bucket_of(count) < len(_BUCKETS) <= 16
 
+    def test_mask_table_is_the_bucket_bit(self):
+        assert BUCKET_MASKS == tuple(1 << (bucket_of(c) & 7)
+                                     for c in range(256))
+
     @given(st.integers(0, 254), st.integers(1, 255))
     def test_same_bucket_counts_are_not_new_coverage(self, a, b):
         cov = GlobalCoverage()
@@ -168,3 +178,33 @@ class TestGlobalCoverage:
         new_slot, new_bucket, new_slots = cov.classify(
             [(slot, 0) for slot, _ in sparse])
         assert (new_slot, new_bucket, new_slots) == (False, False, [])
+
+    @given(st.lists(wide_sparse_maps, max_size=6))
+    def test_merge_buckets_every_count_like_bucket_of(self, executions):
+        # Reference virgin map built straight from bucket_of.
+        cores = [GlobalCoverage()]
+        if HAVE_NUMPY:
+            from repro.fuzz.coverage import VectorGlobalCoverage
+            cores.append(VectorGlobalCoverage())
+        reference = {}
+        for sparse in executions:
+            new_slots, bucket_hit = [], False
+            for slot, count in sparse:
+                if not count:
+                    continue
+                mask = 1 << (bucket_of(count) & 7)
+                seen = reference.get(slot, 0)
+                if seen == 0:
+                    new_slots.append(slot)
+                elif not seen & mask:
+                    bucket_hit = True
+            expected = (bool(new_slots), bucket_hit, new_slots)
+            for cov in cores:
+                assert cov.classify(sparse) == expected
+                assert cov.update(sparse) == expected[:2]
+            for slot, count in sparse:
+                if count:
+                    reference[slot] = (reference.get(slot, 0)
+                                       | 1 << (bucket_of(count) & 7))
+            for cov in cores:
+                assert cov.virgin == reference

@@ -290,3 +290,38 @@ class TestLogLimits:
             with pool.transaction() as tx:
                 for i in range(MAX_LOG_ENTRIES + 1):
                     tx.add(big + 8 * i, 4)  # disjoint 4-byte snapshots
+
+
+class TestSetFieldSite:
+    """``TX_SET``'s store keeps the site label results were built on.
+
+    Through an unlabelled view the store is labelled ``pmdk/tx.py:305``:
+    a PM site of its own (rbtree's Bug-11 variant reaches it), so the
+    label feeds the PM counter map and must not drift with edits to
+    ``tx.py``.
+    """
+
+    def _set_field(self, node_type, view_site):
+        from repro.instrument.context import ExecutionContext, push_context
+
+        ctx = ExecutionContext(collect_trace=True)
+        with push_context(ctx):
+            pool = PmemObjPool.create("test", 64 * 1024)
+            view = pool.typed(pool.root(node_type).offset, node_type,
+                              site=view_site)
+            with pool.transaction() as tx:
+                tx.set_field(view, "n", 9, site="test:set_field")
+        assert view.n == 9
+        stores = [e.site for e in ctx.trace
+                  if e.kind is TraceEventKind.STORE and e.addr == view.offset]
+        return ctx.sites_hit, stores
+
+    def test_unlabelled_view_store_is_the_pinned_site(self, node_type):
+        sites, stores = self._set_field(node_type, None)
+        assert "pmdk/tx.py:305" in sites
+        assert stores[-1] == "pmdk/tx.py:305"
+
+    def test_labelled_view_keeps_its_own_site(self, node_type):
+        sites, stores = self._set_field(node_type, "test:view")
+        assert "pmdk/tx.py:305" not in sites
+        assert stores[-1] == "test:view"

@@ -6,9 +6,10 @@ import json
 
 import pytest
 
-from repro.bench import BENCHMARKS, load_baseline, run_benchmark, run_suite
+from repro.bench import (BENCHMARKS, baseline_mismatch, load_baseline,
+                         numpy_version, run_benchmark, run_suite)
 from repro.cli import main
-from repro.execcore import set_core
+from repro.execcore import HAVE_NUMPY, set_core
 from repro.instrument.covcore import set_backend
 
 
@@ -73,6 +74,8 @@ class TestRunner:
             assert doc["exec_core"] in ("scalar", "vector")
             assert doc["cov_backend"] in ("settrace", "monitoring")
             assert doc["python"].count(".") == 2
+            assert doc["numpy"] == numpy_version()
+            assert (doc["numpy"] == "absent") is not HAVE_NUMPY
             # Delta schema is identical with and without a baseline:
             # one entry per metric (None when nothing to compare to).
             assert set(doc["baseline_delta"]) == set(doc["metrics"])
@@ -89,6 +92,50 @@ class TestRunner:
         assert set(doc["baseline_delta"]) == set(doc["metrics"])
         assert all(isinstance(delta, float)
                    for delta in doc["baseline_delta"].values())
+
+    @pytest.mark.parametrize("key, other", [
+        ("python", "2.7.18"),
+        ("cov_backend", "other-backend"),
+        ("exec_core", "other-core"),
+        ("numpy", "1.0" if not HAVE_NUMPY else "absent"),
+        ("numpy", None),  # an artifact from before numpy was recorded
+    ])
+    def test_baseline_of_other_provenance_gives_no_deltas(
+            self, tmp_path, key, other):
+        base = tmp_path / "base"
+        names = ["ranges", "pmem_ops"]
+        run_suite(names=names, quick=True, repeats=1, out_dir=str(base),
+                  baseline_dir=None, print_fn=lambda line: None)
+        for name in names:
+            path = base / f"BENCH_{name}.json"
+            doc = json.loads(path.read_text())
+            if other is None:
+                del doc[key]
+            else:
+                doc[key] = other
+            path.write_text(json.dumps(doc))
+        lines = []
+        docs = run_suite(names=names, quick=True, repeats=1,
+                         out_dir=str(tmp_path / "new"),
+                         baseline_dir=str(base), print_fn=lines.append)
+        for doc in docs:
+            assert set(doc["baseline_delta"]) == set(doc["metrics"])
+            assert all(delta is None
+                       for delta in doc["baseline_delta"].values())
+        assert not any("vs baseline" in line for line in lines)
+        # The reason is printed once, not once per benchmark or metric.
+        reasons = [line for line in lines if "provenance differs" in line]
+        assert len(reasons) == 1
+        assert key in reasons[0]
+
+    def test_same_provenance_is_comparable(self):
+        doc = {"python": "3.11.7", "cov_backend": "settrace",
+               "exec_core": "vector", "numpy": "2.4.6"}
+        assert baseline_mismatch(doc, dict(doc, python="3.11.2",
+                                           numpy="2.0.1")) is None
+        assert baseline_mismatch(doc, None) is None
+        assert "python 3.13 vs 3.11" in baseline_mismatch(
+            doc, dict(doc, python="3.13.1"))
 
     def test_exec_core_selects_the_measured_core(self, tmp_path):
         out = tmp_path / "scalar"
