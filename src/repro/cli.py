@@ -23,10 +23,6 @@ The reproduction's equivalent of the artifact's driver scripts
     replay one (``--replay <bundle-dir>``) to reproduce the execution
     that killed or hung a worker.
 
-``bench``
-    Run the deterministic perf benchmark suite and write
-    ``BENCH_<name>.json`` result files (see :mod:`repro.bench`).
-
 ``corpusdb``
     Inspect (``info``), heal (``scrub [--verify]``), or compact a
     durable cross-campaign corpus database (see :mod:`repro.corpusdb`).
@@ -106,9 +102,6 @@ def _execcore_kwargs(args: argparse.Namespace) -> dict:
             raise FuzzerError(f"--batch-execs must be >= 1, got {batch}")
         if batch != 8:
             kwargs["batch_execs"] = batch
-    transport = getattr(args, "transport", None)
-    if transport not in (None, "auto"):
-        kwargs["transport"] = transport
     return kwargs
 
 
@@ -501,21 +494,6 @@ def _cmd_corpusdb(args: argparse.Namespace) -> int:
         return 2
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.bench import run_suite
-
-    try:
-        run_suite(names=args.only or None, quick=args.quick,
-                  repeats=args.repeats, out_dir=args.out_dir,
-                  baseline_dir=args.baseline_dir or None,
-                  exec_core=args.exec_core,
-                  cov_backend=getattr(args, "cov_backend", None))
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 2
-    return 0
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve import ServeDaemon
 
@@ -642,11 +620,6 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz.add_argument("--batch-execs", type=int, default=8, metavar="N",
                       help="executions shipped per fork-worker dispatch "
                            "(fork only; 1 disables batching)")
-    fuzz.add_argument("--transport", choices=["auto", "ring", "pipe"],
-                      default="auto",
-                      help="fork-worker frame transport: shared-memory "
-                           "ring or classic pickled pipe (default: ring "
-                           "where shared mmap is available)")
     fuzz.add_argument("--workers", type=int, default=1,
                       help="fork-server worker pool size")
     fuzz.add_argument("--exec-wall-timeout", type=float, default=10.0,
@@ -809,33 +782,6 @@ def build_parser() -> argparse.ArgumentParser:
     cdb.add_argument("--max-moves", type=int, default=None, metavar="N",
                      help="bound on moves per compact invocation")
     cdb.set_defaults(func=_cmd_corpusdb)
-
-    bench = sub.add_parser(
-        "bench", help="run the deterministic perf benchmark suite")
-    bench.add_argument("--only", action="append", default=None,
-                       metavar="NAME",
-                       help="run a single benchmark (repeatable); "
-                            "default: all")
-    bench.add_argument("--quick", action="store_true",
-                       help="smaller iteration counts for CI smoke runs")
-    bench.add_argument("--repeats", type=int, default=None, metavar="N",
-                       help="repeats per benchmark (median reported)")
-    bench.add_argument("--out-dir", default=".", metavar="DIR",
-                       help="where BENCH_<name>.json files are written "
-                            "(default: current directory)")
-    bench.add_argument("--exec-core", choices=["scalar", "vector"],
-                       default=None,
-                       help="execution core the campaign benchmarks run "
-                            "on (default: vector when numpy is available)")
-    bench.add_argument("--cov-backend", choices=["settrace", "monitoring"],
-                       default=None,
-                       help="coverage backend the benchmarks run under "
-                            "(default: monitoring where available)")
-    bench.add_argument("--baseline-dir", default="benchmarks/baseline",
-                       metavar="DIR",
-                       help="committed baseline to print deltas against "
-                            "('' disables; default: benchmarks/baseline)")
-    bench.set_defaults(func=_cmd_bench)
 
     srv = sub.add_parser(
         "serve",

@@ -264,7 +264,7 @@ class CorpusDatabase:
                       | set(self._tier_keys(self.paths.cold)))
 
     def info(self) -> Dict:
-        """Counts and sizes for ``corpusdb info`` and the bench."""
+        """Counts and sizes for ``corpusdb info``."""
         hot = self._tier_keys(self.paths.hot)
         cold = self._tier_keys(self.paths.cold)
         total_bytes = 0

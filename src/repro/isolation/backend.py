@@ -112,14 +112,12 @@ class ForkServerBackend(ExecutionBackend):
         stats=None,
         campaign_info: Optional[Callable[[], dict]] = None,
         batch_execs: int = 8,
-        transport: str = "auto",
     ) -> None:
         self.executor = executor
         self.pool = ForkWorkerPool(
             executor, workers=workers, wall_timeout=wall_timeout,
             rss_limit_bytes=rss_limit_bytes,
-            max_execs_per_worker=max_execs_per_worker,
-            transport=transport)
+            max_execs_per_worker=max_execs_per_worker)
         self.wall_timeout = wall_timeout
         self.triage = triage
         self.stats = stats
@@ -297,7 +295,6 @@ def create_backend(
     stats=None,
     campaign_info: Optional[Callable[[], dict]] = None,
     batch_execs: int = 8,
-    transport: str = "auto",
 ) -> Tuple[ExecutionBackend, str]:
     """Build the requested backend; returns ``(backend, fallback_reason)``.
 
@@ -321,5 +318,5 @@ def create_backend(
         rss_limit_bytes=rss_limit_bytes,
         max_execs_per_worker=max_execs_per_worker,
         triage=triage, stats=stats, campaign_info=campaign_info,
-        batch_execs=batch_execs, transport=transport)
+        batch_execs=batch_execs)
     return backend, ""

@@ -37,9 +37,6 @@ from repro.isolation.ring import (DEFAULT_RING_BYTES, Channel, ShmRing,
                                   ring_available)
 from repro.isolation.worker import worker_main
 
-#: Transport names accepted by ``ForkWorkerPool(transport=...)``.
-TRANSPORTS = ("auto", "ring", "pipe")
-
 
 class WorkerUnavailableError(RuntimeError):
     """The pool cannot fork workers on this platform."""
@@ -96,11 +93,11 @@ class ForkWorkerPool:
         max_execs_per_worker: recycle a worker after this many jobs.
         shutdown_grace: seconds to wait for a graceful exit before
             escalating to SIGKILL.
-        transport: ``"ring"`` (shared-memory frames), ``"pipe"`` (the
-            legacy pickled-pipe protocol) or ``"auto"`` (ring wherever
-            anonymous shared mmap works — graceful fallback, recorded
-            in :attr:`transport`).
         ring_bytes: per-direction ring capacity for the ring transport.
+
+    Workers talk over the shared-memory ring wherever anonymous shared
+    mmap works and over the pickled pipe otherwise; :attr:`transport`
+    records which.
     """
 
     def __init__(
@@ -111,28 +108,20 @@ class ForkWorkerPool:
         rss_limit_bytes: Optional[int] = None,
         max_execs_per_worker: int = 256,
         shutdown_grace: float = 2.0,
-        transport: str = "auto",
         ring_bytes: int = DEFAULT_RING_BYTES,
     ) -> None:
         if not hasattr(os, "fork"):
             raise WorkerUnavailableError("os.fork is unavailable")
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        if transport not in TRANSPORTS:
-            raise ValueError(f"unknown transport {transport!r}; "
-                             f"known: {', '.join(TRANSPORTS)}")
         self.executor = executor
         self.wall_timeout = wall_timeout
         self.rss_limit_bytes = rss_limit_bytes
         self.max_execs_per_worker = max_execs_per_worker
         self.shutdown_grace = shutdown_grace
         self.ring_bytes = ring_bytes
-        if transport == "auto":
-            transport = "ring" if ring_available() else "pipe"
-        elif transport == "ring" and not ring_available():  # pragma: no cover
-            transport = "pipe"
-        #: The resolved transport every spawned worker uses.
-        self.transport = transport
+        #: The transport every spawned worker uses: ``"ring"`` or ``"pipe"``.
+        self.transport = "ring" if ring_available() else "pipe"
         self._workers: List[Optional[_Worker]] = [None] * workers
         self._next = 0
         self.spawned = 0

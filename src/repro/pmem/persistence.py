@@ -507,7 +507,7 @@ class PersistenceDomain:
 
     def _inconsistent_ranges_naive(self) -> List[Tuple[int, int]]:
         """Reference byte-at-a-time implementation (kept as the oracle
-        for the property tests and the benchmark baseline)."""
+        for the property tests)."""
         ranges: List[Tuple[int, int]] = []
         start = None
         for i in range(self.size):

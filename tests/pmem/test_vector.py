@@ -278,9 +278,8 @@ class TestDrainSignatureParity:
         """Every drain in the tree accepts the same optional site."""
         import inspect
 
-        from repro.bench import _LegacyDomain
         from repro.pmdk.pool import PmemObjPool
 
         reference = inspect.signature(PersistenceDomain.drain)
-        for impl in (VectorPersistenceDomain, _LegacyDomain, PmemObjPool):
+        for impl in (VectorPersistenceDomain, PmemObjPool):
             assert inspect.signature(impl.drain) == reference, impl

@@ -178,6 +178,21 @@ class TestResumeDeterminism:
                      checkpoint_every=0.1, checkpoint_path=path)
         assert isinstance(FuzzEngine.resume(path), PMFuzzEngine)
 
+    def test_checkpoint_naming_a_transport_still_resumes(self, tmp_path):
+        """Checkpoints from before the fork pool chose its own frame
+        transport carry a ``transport`` engine kwarg; resume drops it."""
+        path = str(tmp_path / "transport.ckpt")
+        run_campaign("hashmap_tx", "pmfuzz", 0.5, seed=21,
+                     checkpoint_every=0.1, checkpoint_path=path)
+        payload = read_checkpoint(path)
+        payload["meta"]["engine_kwargs"]["transport"] = "pipe"
+        write_checkpoint(path, payload)
+        engine = FuzzEngine.resume(path)
+        assert "transport" not in engine.campaign_meta["engine_kwargs"]
+        longer = run_campaign("hashmap_tx", "pmfuzz", 0.9,
+                              resume_from=path)
+        assert longer == run_campaign("hashmap_tx", "pmfuzz", 0.9, seed=21)
+
     def test_quarantine_state_survives_resume(self, tmp_path):
         """Strikes and quarantined inputs are part of the checkpoint: a
         resumed campaign must keep refusing a harness-killing input
