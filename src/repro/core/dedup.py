@@ -7,7 +7,9 @@ hash value (SHA-256) in a dictionary that keeps the hash values of all
 prior images."
 
 The store also keeps the raw/compressed byte accounting that the
-Section 4.7 storage optimization is about.
+Section 4.7 storage optimization is about.  A pool is far larger than
+what a program writes into it, so the store compresses only the written
+prefix of each image and leaves the all-zero tail implied.
 """
 
 from __future__ import annotations
@@ -17,11 +19,56 @@ from typing import Dict, Optional, Tuple
 
 from repro.errors import (CorpusCorruptionError, InvalidImageError,
                           StorageFaultError)
-from repro.pmem.image import PMImage
+from repro.pmem.image import IMAGE_HEADER_SIZE, PMImage
+
+#: Granularity of the zero-tail scan: the stored prefix ends at a
+#: multiple of this (or at the payload's end).
+_TAIL_WINDOW = 4096
+_ZERO_WINDOW = bytes(_TAIL_WINDOW)
+
+
+def _used_prefix(payload: bytearray) -> int:
+    """End of the last :data:`_TAIL_WINDOW` window holding a non-zero byte.
+
+    A backwards scan comparing window slices against a constant zero
+    window: it reads only the zero tail plus one window, and carries no
+    high-water-mark state that a direct payload mutation could falsify.
+    """
+    used = len(payload)
+    while used:
+        start = (used - 1) // _TAIL_WINDOW * _TAIL_WINDOW
+        if payload[start:used] != _ZERO_WINDOW[:used - start]:
+            break
+        used = start
+    return used
+
+
+def _inflate(blob: bytes) -> bytes:
+    """Decompress a stored blob and restore its implied zero tail.
+
+    The result equals :meth:`PMImage.to_bytes` of the stored image.  A
+    blob holding a full image (as stored before the prefix format, e.g.
+    in an old checkpoint) needs no padding and comes back unchanged.
+    """
+    data = zlib.decompress(blob)
+    size = PMImage.declared_payload_size(data)
+    if size is not None and len(data) < IMAGE_HEADER_SIZE + size:
+        data += bytes(IMAGE_HEADER_SIZE + size - len(data))
+    return data
 
 
 class ImageStore:
     """Content-addressed store of PM images for one campaign.
+
+    Images are keyed by :meth:`PMImage.content_hash` (SHA-256 of the
+    layout and the *full* payload).  With ``compress`` on, an entry is
+    ``zlib.compress(header + payload[:used])``, where ``used`` is the
+    end of the payload's last non-zero 4 KiB window: the zero tail
+    beyond it is implied by the payload length the header records, and
+    :meth:`get` / :meth:`raw_serialized` append it after decompressing,
+    returning exactly :meth:`PMImage.to_bytes`.  ``raw_bytes`` still
+    counts the full serialized image.  With ``compress`` off, an entry
+    is the full serialized image.
 
     Args:
         compress: keep serialized images zlib/LZ77-compressed (the
@@ -66,7 +113,8 @@ class ImageStore:
         serialized = image.to_bytes(compress=False)
         self.raw_bytes += len(serialized)
         if self.compress:
-            stored = zlib.compress(serialized, level=6)
+            used = IMAGE_HEADER_SIZE + _used_prefix(image.payload)
+            stored = zlib.compress(memoryview(serialized)[:used], level=6)
         else:
             stored = serialized
         self._by_hash[image_id] = stored
@@ -75,7 +123,8 @@ class ImageStore:
         return image_id, True
 
     def get(self, image_id: str) -> PMImage:
-        """Materialize an image by ID (decompressing if needed).
+        """Materialize an image by ID (decompressing and restoring the
+        zero tail if needed).
 
         Failure classification is two-tier:
 
@@ -108,7 +157,7 @@ class ImageStore:
             if faults is not None:
                 faults.check("decompress")
             try:
-                read_back = zlib.decompress(read_back)
+                read_back = _inflate(read_back)
             except zlib.error as exc:
                 if torn_read:
                     raise StorageFaultError(
@@ -151,7 +200,7 @@ class ImageStore:
         stored = self._by_hash.get(image_id)
         if stored is None:
             return None
-        return zlib.decompress(stored) if self.compress else stored
+        return _inflate(stored) if self.compress else stored
 
     def contains(self, image_id: str) -> bool:
         return image_id in self._by_hash

@@ -158,14 +158,6 @@ class TestCaseStorage:
         :meth:`~repro.core.dedup.ImageStore.get`)."""
         return self.store.corrupt_quarantined
 
-    def summary(self) -> str:
-        """One-line storage report for the benches."""
-        return (f"{len(self.store)} images: raw {self.raw_bytes / 1e6:.1f} MB, "
-                f"ssd {self.ssd_bytes / 1e6:.1f} MB "
-                f"(x{self.store.compression_ratio:.1f} compression), "
-                f"pm staging {self.staged_bytes / 1e6:.1f} MB, "
-                f"{self.evictions} evictions")
-
 
 # ----------------------------------------------------------------------
 # Corpus scrubbing (self-healing shared storage)

@@ -24,12 +24,13 @@ test-case storage optimization of Section 4.7.
 
 from __future__ import annotations
 
+import hashlib
 import struct
 import zlib
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro._util import sha256_hex, stable_hash32
+from repro._util import stable_hash32
 from repro.errors import InvalidImageError
 
 #: Bytes reserved for the image header at the front of the serialized form.
@@ -39,6 +40,7 @@ _MAGIC = b"PMFZIMG1"
 _LAYOUT_BYTES = 24
 _HEADER_FMT = "<8s%dsI16sI8x" % _LAYOUT_BYTES  # magic, layout, size, uuid, cksum, pad
 assert struct.calcsize(_HEADER_FMT) == IMAGE_HEADER_SIZE
+_SIZE_OFFSET = 8 + _LAYOUT_BYTES  #: where the header records the payload length
 
 
 def derive_uuid(layout: str) -> bytes:
@@ -93,7 +95,7 @@ class PMImage:
     # ------------------------------------------------------------------
     def to_bytes(self, compress: bool = False) -> bytes:
         """Serialize header + payload; optionally zlib/LZ77-compress."""
-        checksum = zlib.crc32(bytes(self.payload))
+        checksum = zlib.crc32(self.payload)
         header = struct.pack(
             _HEADER_FMT,
             _MAGIC,
@@ -102,7 +104,7 @@ class PMImage:
             self.uuid,
             checksum,
         )
-        raw = header + bytes(self.payload)
+        raw = header + self.payload
         if compress:
             return b"PMFZ" + zlib.compress(raw, level=6)
         return raw
@@ -144,6 +146,17 @@ class PMImage:
         image = cls(layout=layout, payload=bytearray(payload), uuid=uuid)
         return image
 
+    @staticmethod
+    def declared_payload_size(data: bytes) -> Optional[int]:
+        """Payload length recorded in a serialized image's header.
+
+        None when ``data`` does not start with a whole header carrying
+        the image magic.  Nothing past the header is read or checked.
+        """
+        if len(data) < IMAGE_HEADER_SIZE or data[:len(_MAGIC)] != _MAGIC:
+            return None
+        return struct.unpack_from("<I", data, _SIZE_OFFSET)[0]
+
     def validate(self, expected_layout: Optional[str] = None) -> None:
         """Validation of an in-memory image, used by the pool-open path.
 
@@ -165,7 +178,9 @@ class PMImage:
     # ------------------------------------------------------------------
     def content_hash(self) -> str:
         """SHA-256 of layout + payload (PMFuzz's image dedup key, Sec. 4.5)."""
-        return sha256_hex(self.layout.encode("utf-8") + b"\0" + bytes(self.payload))
+        digest = hashlib.sha256(self.layout.encode("utf-8") + b"\0")
+        digest.update(self.payload)
+        return digest.hexdigest()
 
     def __len__(self) -> int:
         return len(self.payload)

@@ -1,8 +1,15 @@
 """Tests for image deduplication and tiered test-case storage."""
 
+import zlib
+
+import pytest
+
 from repro.core.dedup import ImageStore
 from repro.core.storage import TestCaseStorage
-from repro.pmem.image import PMImage
+from repro.errors import (CorpusCorruptionError, InvalidImageError,
+                          StorageFaultError)
+from repro.pmem.image import IMAGE_HEADER_SIZE, PMImage
+from repro.resilience.faults import EnvFaultInjector, FaultPlan
 
 
 def image_with(byte, size=4096):
@@ -83,7 +90,96 @@ class TestTieredStorage:
         # The first image was evicted from staging but lives on "SSD".
         assert storage.load(ids[0]).payload[0] == 0
 
-    def test_summary_renders(self):
-        storage = TestCaseStorage()
-        storage.save(image_with(1))
-        assert "images" in storage.summary()
+
+
+def shaped_image(shape):
+    """An image whose non-zero bytes end where ``shape`` says; returns
+    ``(image, expected stored payload prefix length)``."""
+    if shape == "all-zero":
+        return PMImage.create("t", 4 * 4096), 0
+    if shape == "no-zero-tail":
+        image = PMImage.create("t", 4 * 4096)
+        image.payload[0] = 1
+        image.payload[-1] = 2
+        return image, 4 * 4096
+    if shape == "tail-mid-window":
+        image = PMImage.create("t", 8 * 4096)
+        image.payload[100] = 3
+        image.payload[4096 + 1500] = 4
+        return image, 2 * 4096
+    assert shape == "odd-length"
+    image = PMImage.create("t", 3 * 4096 + 777)
+    image.payload[3 * 4096 + 5] = 5
+    return image, 3 * 4096 + 777
+
+
+SHAPES = ["all-zero", "no-zero-tail", "tail-mid-window", "odd-length"]
+
+
+class TestPrefixStorage:
+    """Compressed entries hold only the written prefix; reads restore
+    the zero tail and return exactly what ``to_bytes`` returns."""
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_round_trip_is_byte_exact(self, shape):
+        image, used = shaped_image(shape)
+        store = ImageStore()
+        image_id, is_new = store.put(image)
+        assert is_new and image_id == image.content_hash()
+        assert len(zlib.decompress(store._by_hash[image_id])) \
+            == IMAGE_HEADER_SIZE + used
+        assert store.get(image_id).payload == image.payload
+        assert store.raw_serialized(image_id) == image.to_bytes()
+        assert store.raw_bytes == len(image.to_bytes())
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_uncompressed_store_keeps_full_image(self, shape):
+        image, _ = shaped_image(shape)
+        store = ImageStore(compress=False)
+        image_id, _ = store.put(image)
+        assert store._by_hash[image_id] == image.to_bytes()
+        assert store.stored_bytes == store.raw_bytes
+
+    def test_legacy_full_image_blob_still_decodes(self):
+        image, _ = shaped_image("tail-mid-window")
+        store = ImageStore()
+        image_id, _ = store.put(image)
+        store._by_hash[image_id] = zlib.compress(image.to_bytes(), 6)
+        assert store.raw_serialized(image_id) == image.to_bytes()
+        assert store.get(image_id).payload == image.payload
+
+    def test_stored_prefix_alone_is_not_a_valid_image(self):
+        image, _ = shaped_image("tail-mid-window")
+        store = ImageStore()
+        image_id, _ = store.put(image)
+        with pytest.raises(InvalidImageError, match="size mismatch"):
+            PMImage.from_bytes(zlib.decompress(store._by_hash[image_id]))
+
+    @pytest.mark.parametrize("damage", ["truncate", "bitflip"])
+    def test_damaged_prefix_blob_is_genuine_damage(self, damage):
+        image, _ = shaped_image("tail-mid-window")
+        store = ImageStore()
+        image_id, _ = store.put(image)
+        blob = bytearray(store._by_hash[image_id])
+        if damage == "truncate":
+            del blob[len(blob) // 2:]
+        else:
+            blob[len(blob) // 2] ^= 0x10
+        store._by_hash[image_id] = bytes(blob)
+        with pytest.raises(CorpusCorruptionError):
+            store.get(image_id)
+        assert store.corrupt_quarantined == 1
+        assert not store.contains(image_id)
+
+    def test_injected_corrupt_read_is_a_torn_read(self):
+        image, _ = shaped_image("tail-mid-window")
+        inj = EnvFaultInjector(FaultPlan.parse("storage-corrupt:1.0"))
+        store = ImageStore(env_faults=inj)
+        image_id, _ = store.put(image)
+        for _ in range(4):
+            with pytest.raises(StorageFaultError) as err:
+                store.get(image_id)
+            assert err.value.transient
+        assert store.corrupt_quarantined == 0
+        store.env_faults = None
+        assert store.get(image_id).payload == image.payload
