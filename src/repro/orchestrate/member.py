@@ -66,6 +66,15 @@ def read_member_stats(path: str):
         return None
 
 
+def _claim_once(member_dir: str, name: str) -> bool:
+    """Create the marker *name* in *member_dir*; False if it exists."""
+    marker = os.path.join(member_dir, name)
+    if os.path.exists(marker):
+        return False
+    atomic_write_bytes(marker, b"", fsync=False)
+    return True
+
+
 def _build_member_engine(spec, index: int, resume: bool,
                          ckpt: str) -> FuzzEngine:
     if resume and os.path.exists(ckpt):
@@ -132,13 +141,11 @@ def _member_main(spec, index: int, resume: bool) -> int:
     # Chaos hook (tests only): a wedge-planned member stops making
     # progress once — heartbeat lease expires, supervisor SIGKILLs it,
     # and the restart (marker present) proceeds normally.
-    if index in (spec.wedge_plan or ()):
-        marker = os.path.join(member_dir, "wedged.once")
-        if not os.path.exists(marker):
-            atomic_write_bytes(marker, b"", fsync=False)
-            signal.signal(signal.SIGTERM, signal.SIG_DFL)
-            while True:
-                time.sleep(3600.0)
+    if index in (spec.wedge_plan or ()) and _claim_once(member_dir,
+                                                        "wedged.once"):
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+        while True:
+            time.sleep(3600.0)
 
     budget = float(spec.budget)
     sync_every = min(float(spec.sync_every), budget) or budget
@@ -158,7 +165,17 @@ def _member_main(spec, index: int, resume: bool) -> int:
             if index in (spec.fail_plan or ()):
                 sys.stderr.flush()
                 return CHAOS_EXIT_STATUS
+            # Chaos hook (tests only): a kill-planned member holds once,
+            # after publishing its planned epoch and before checkpointing
+            # it, until the supervisor's SIGKILL lands.  Without the hold
+            # the kill races the member's own exit when the planned epoch
+            # is the last one.  The once-marker is claimed before the
+            # epoch marker exists, so a restart never holds again.
+            hold = ((spec.kill_plan or {}).get(index) == epoch
+                    and _claim_once(member_dir, "killed.once"))
             syncer.end_epoch(epoch, final=(epoch == epochs - 1))
+            while hold and not engine.stop_requested:
+                time.sleep(spec.poll_interval)
             engine.checkpoint()
         stats = engine.finish()
     finally:
